@@ -203,3 +203,36 @@ func TestGoldenReplayDigest(t *testing.T) {
 		t.Errorf("replay digest = %#x, want %#x (trajectory drifted from the scan engine)", got, want)
 	}
 }
+
+// TestModeGoldenDigests pins the v1 engine in the two modes the
+// scenario goldens above do not reach: bandwidth-scheduled uploads
+// (DSL links, a blackout and a restore crowd, so repairs run through
+// the transfer scheduler and compete with downloads) and adaptive
+// redundancy (archives grow and shrink, so targets and triggers resolve
+// per owner), alone and combined. The observers stay unmetered in every
+// row, covering the instant path beside the scheduled one.
+func TestModeGoldenDigests(t *testing.T) {
+	flash := bandwidthConfig(t, "dsl")
+	flash.Shocks = []ShockSpec{{Name: "blackout", Round: 200, Fraction: 0.4, Outage: 48}}
+	flash.Restores = []RestoreSpec{{Name: "crowd", Round: 210, Fraction: 0.5}}
+	adaptBw := adaptiveConfig()
+	adaptBw.Bandwidth = bandwidthConfig(t, "dsl").Bandwidth
+
+	cases := []struct {
+		name string
+		cfg  Config
+		want uint64
+	}{
+		{"bandwidth-dsl-restores", flash, 0x6fa647fcff2daaed},
+		{"adaptive", adaptiveConfig(), 0x7f01304e5b321066},
+		{"adaptive-bandwidth-dsl", adaptBw, 0xa07f6ac7ba214d38},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got := digestRun(t, tc.cfg)
+			if got != tc.want {
+				t.Errorf("digest = %#x, want %#x (v1 trajectory drifted)", got, tc.want)
+			}
+		})
+	}
+}
