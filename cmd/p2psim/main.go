@@ -55,20 +55,20 @@
 // shrank archives, the final report includes a redundancy line with
 // the parity traffic and its upload cost on the paper's DSL link.
 //
-// -shards runs every simulation's shardable phases (availability
-// history application, selection cache warming, final accounting) on
-// that many workers. Results are bit-identical at every shard count —
-// it is purely a speed knob, composing with -parallel, which runs
-// whole variants concurrently; prefer -parallel while the campaign has
-// more variants than cores, -shards when a few big runs dominate.
-//
 // -walk selects the engine generation: v1 (default) is the canonical
 // sequential churn walk whose trajectories the original goldens pin;
-// v3 shards the walk and the maintenance phase themselves (per-slot
-// rng streams, effect-log merge at the round barrier) and carries its
-// own versioned trajectory — bit-identical at every -shards value,
-// but not draw-compatible with v1. Use v3 with -shards N to bend the
-// big-population round times on multi-core machines.
+// v3 shards the walk and the maintenance phase (per-slot rng streams,
+// effect-log merge at the round barrier) and carries its own versioned
+// trajectory — bit-identical at every -shards value, but not
+// draw-compatible with v1.
+//
+// -shards N runs every v3 simulation's walk, cache warming and
+// maintenance planning on N workers, and requires -walk v3 (the v1
+// walk is sequential; N >= 2 without v3 is rejected). Results are
+// bit-identical at every shard count — it is purely a speed knob,
+// composing with -parallel, which runs whole variants concurrently;
+// prefer -parallel while the campaign has more variants than cores,
+// -walk v3 -shards N when a few big runs dominate.
 //
 // -phasetimes collects per-phase wall time (walk / merge /
 // maintenance / transfer-drain / evaluation) in every run and prints
@@ -149,7 +149,7 @@ func run() int {
 	strategy := flag.String("strategy", "", "partner-selection strategy spec, e.g. age:L=2160, estimator:pareto, monitored-availability:720 (default: the paper's age strategy)")
 	bandwidth := flag.String("bandwidth", "", "bandwidth class spec: "+strings.Join(transfer.Presets(), " ")+", or name:prop:up/down[:inflight];... (default: the paper's instant placement)")
 	redundancySpec := flag.String("redundancy", "", "redundancy policy spec: fixed, or adaptive:min=M,max=M2,target=P[,hysteresis=H,eval=E,sample=S] (default: the paper's fixed n per archive)")
-	shards := flag.Int("shards", 0, "per-simulation shard workers for the engine's parallel phases; 0 or 1 = sequential, results are identical at every value")
+	shards := flag.Int("shards", 0, "per-simulation shard workers for the v3 engine's parallel phases (N >= 2 requires -walk v3); 0 or 1 = one worker, results are identical at every value")
 	walk := flag.String("walk", "", "engine generation: v1 (canonical sequential walk, the default) or v3 (shard-local walk + deterministic merge; own versioned trajectory, identical at every -shards value)")
 	phasetimes := flag.Bool("phasetimes", false, "collect per-phase wall time (walk/merge/maintenance/transfer-drain/evaluation) and print the campaign-wide breakdown at exit")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole campaign to this file (go tool pprof)")

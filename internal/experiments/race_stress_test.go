@@ -3,16 +3,19 @@ package experiments
 import (
 	"context"
 	"testing"
+
+	"p2pbackup/internal/sim"
 )
 
 // TestRunnerShardedStress drives both parallelism layers at once: the
 // Runner fans whole variants out to 8 workers while every variant's
-// simulation internally fans its shardable phases out to 4 shard
-// workers. Under -race this is the cross-layer interleaving check; the
-// rows must still be value-identical to a fully sequential run
-// (Parallelism 1, Shards 1).
+// v3 simulation internally fans its walk, warm and maintenance-plan
+// phases out to 4 shard workers. Under -race this is the cross-layer
+// interleaving check; the rows must still be value-identical to a
+// fully sequential v3 run (Parallelism 1, Shards 1).
 func TestRunnerShardedStress(t *testing.T) {
 	cfg := microConfig()
+	cfg.Walk = sim.WalkV3
 	camp, err := ThresholdCampaign(cfg, []int{9, 10, 11, 12, 13, 14})
 	if err != nil {
 		t.Fatal(err)

@@ -49,10 +49,11 @@ type Options struct {
 	// provisioning. The fixed-vs-adaptive campaign sweeps the policy
 	// itself, using this spec as its adaptive arm when it names one.
 	Redundancy string
-	// Shards sets sim.Config.Shards on every variant: 0 or 1 keeps the
-	// sequential engine, >= 2 runs each simulation's shardable phases on
-	// that many workers. Results are bit-identical at every value (the
-	// sharded engine's equivalence guarantee), so this is purely a
+	// Shards sets sim.Config.Shards on every variant: 0 or 1 runs one
+	// worker, >= 2 runs each v3 simulation's walk and maintenance
+	// planning on that many workers and requires Walk = sim.WalkV3 (the
+	// v1 walk is sequential). Results are bit-identical at every value
+	// (the v3 engine's equivalence guarantee), so this is purely a
 	// speed/parallelism knob, composing with Parallelism, which runs
 	// whole variants concurrently.
 	Shards int

@@ -28,11 +28,14 @@
 //
 // The Maintainer operates on the overlay.Ledger and is driven by the
 // simulation engine, which decides which peers act each round and in
-// what order. It is not safe for concurrent use.
+// what order. A step is planned (PlanStep) and then applied
+// (ApplyPlan); Step does both at once. Only PlanStep may run
+// concurrently, under the contract in plan.go; everything else is
+// single-goroutine.
 //
 // Paper mapping (in the style of internal/selection):
 //
-//	§2.2.2 "maintenance"        Step, the monitor→repair transition
+//	§2.2.2 "maintenance"        Step (PlanStep + ApplyPlan), the monitor→repair transition
 //	§2.2.3 repair threshold k'  Params.RepairThreshold (trigger: visible < k')
 //	§2.2.4 bandwidth bound      Params.UploadBudgetPerRound (d≈128 blocks ≈ 1 round on DSL)
 //	§3.2   simulated protocol   the state machine (stateIdle → stateTriggered → stateUploading)
@@ -170,8 +173,8 @@ type Env interface {
 	Round() int64
 }
 
-// Transfers is the bandwidth-scheduling hook (PR 6): when installed
-// via SetTransfers, stepUpload enqueues block transfers instead of
+// Transfers is the bandwidth-scheduling hook: when installed via
+// SetTransfers, an uploading step enqueues block transfers instead of
 // placing instantly, and the engine lands them later through
 // DeliverUpload. The implementation (the simulation engine's transfer
 // scheduler) owns all timing; the Maintainer only respects the
@@ -221,7 +224,7 @@ const (
 )
 
 // poolEntry is an accepted candidate waiting to receive a block.
-// placeable is a per-step scratch flag: stepUpload computes each
+// placeable is a per-step scratch flag: planUpload computes each
 // entry's eligibility once per step, so the per-placement max-score
 // scans are pure slice walks.
 type poolEntry struct {
@@ -270,17 +273,10 @@ type Maintainer struct {
 	xfer   Transfers  // nil: the historical instant-placement path
 	rd     Redundancy // nil: fixed per-run redundancy (the paper)
 
-	// Partner-mark epochs: refreshPool stamps the acting owner's
-	// current partners into a per-slot epoch array, turning the former
-	// O(owner degree) Ledger.HasPlacement scan — the dominant cost of a
-	// churn round — into one array compare per check. A fresh epoch per
-	// refreshPool call invalidates all previous marks at once; place
-	// refreshes the mark when a block lands so the same step's later
-	// eligibility checks see the new partner. The marks track partners
-	// only — pool membership is deduplicated by each slot's inPool map.
-	markEpoch   uint64
-	partnerMark []uint64
-	hostBuf     []overlay.PeerID // scratch for Ledger.Hosts
+	// ws is Step's workspace. Unlike the engine's plan-phase
+	// workspaces it fills the per-round view and score memos as it
+	// reads them (Step never runs concurrently with other steps).
+	ws *Workspace
 
 	// Score memo, enabled by the engine (EnableScoreCache): pure policy
 	// scores are cached per (slot, round) so a candidate probed by many
@@ -306,14 +302,15 @@ func New(params Params, led *overlay.Ledger, tab *overlay.Table, pol selection.P
 		panic("maintenance: ledger and table sizes differ")
 	}
 	m := &Maintainer{
-		params:      params,
-		led:         led,
-		tab:         tab,
-		pol:         pol,
-		env:         env,
-		peers:       make([]peerState, led.NumPeers()),
-		partnerMark: make([]uint64, led.NumPeers()),
+		params: params,
+		led:    led,
+		tab:    tab,
+		pol:    pol,
+		env:    env,
+		peers:  make([]peerState, led.NumPeers()),
 	}
+	m.ws = NewWorkspace(led.NumPeers(), env.View)
+	m.ws.memo = true
 	for i := range m.peers {
 		m.peers[i].armed = true
 	}
@@ -406,7 +403,7 @@ func (m *Maintainer) InvalidateScore(id overlay.PeerID) {
 // A no-op when the score cache is disabled (stateful policies must be
 // re-evaluated per call and cannot be warmed).
 //
-// Concurrency contract: the simulation engine's sharded warm phase
+// Concurrency contract: the v3 engine's sharded warm phase
 // calls WarmScoreRange from one goroutine per disjoint slot range, so
 // the method writes only the memo entries of its own range and the
 // policy's Score must be safe for concurrent calls — guaranteed for
@@ -570,83 +567,17 @@ func (m *Maintainer) WantsStep(id overlay.PeerID) bool {
 	return m.led.Visible(id) < m.params.RepairThreshold
 }
 
-// Step runs one round of maintenance for an online peer.
+// Step runs one round of maintenance for an online peer: PlanStep then
+// ApplyPlan on the Maintainer's own workspace. Planning and applying
+// back to back, with no other owner in between, is exactly the
+// sequential protocol — no quota race can intervene.
 func (m *Maintainer) Step(r *rng.Rand, id overlay.PeerID) StepResult {
-	p := &m.peers[id]
-	if !p.included {
-		// Initial (or post-loss) upload: straight to Uploading.
-		if p.st == stateIdle {
-			p.epStart = m.env.Round()
-		}
-		p.st = stateUploading
-		return m.stepUpload(r, id, p)
+	m.ws.Reset()
+	m.PlanStep(r, id, m.ws)
+	if len(m.ws.Results) == 0 {
+		return StepResult{}
 	}
-	switch p.st {
-	case stateIdle:
-		if m.led.Visible(id) >= m.threshold(id) {
-			return StepResult{Outcome: OutcomeNone}
-		}
-		p.st = stateTriggered
-		p.epStart = m.env.Round()
-		fallthrough
-	case stateTriggered:
-		return m.stepTriggered(r, id, p)
-	case stateUploading:
-		return m.stepUpload(r, id, p)
-	default:
-		panic(fmt.Sprintf("maintenance: bad state %d", p.st))
-	}
-}
-
-// stepTriggered gathers candidates while waiting for the decode point.
-func (m *Maintainer) stepTriggered(r *rng.Rand, id overlay.PeerID, p *peerState) StepResult {
-	visible := m.led.Visible(id)
-	if m.params.CancelOnRecover && visible >= m.threshold(id) {
-		m.finishEpisode(p)
-		return StepResult{Outcome: OutcomeCanceled}
-	}
-	// Candidate gathering continues even while stalled; partners found
-	// now shorten the upload phase.
-	m.refreshPool(r, id, p)
-	if visible < m.params.DataBlocks {
-		res := StepResult{Outcome: OutcomeStalled}
-		if !p.outage {
-			p.outage = true
-			res.OutageStarted = true
-		}
-		return res
-	}
-	p.outage = false // decodable again; any new outage is a fresh event
-	if p.waited < m.params.RepairDelay {
-		// Deliberately hold the repair: partners may come back, letting
-		// CancelOnRecover avoid the whole episode.
-		p.waited++
-		return StepResult{Outcome: OutcomeNone}
-	}
-	// Decode point: download k blocks, re-encode, write off partners
-	// considered gone.
-	if m.params.DropOffline {
-		for i := m.led.Alive(id) - 1; i >= 0; i-- {
-			host, err := m.led.HostAt(id, i)
-			if err != nil {
-				panic(err) // ledger indexes are engine-controlled
-			}
-			if !m.led.Online(host) {
-				if err := m.led.DropPlacementAt(id, i); err != nil {
-					panic(err)
-				}
-				p.dropped++
-			}
-		}
-	}
-	if m.led.Alive(id) >= m.targetBlocks(id) {
-		// Nothing to upload (possible with DropOffline=false when only
-		// offline partners pushed us under the threshold).
-		m.finishEpisode(p)
-		return StepResult{Outcome: OutcomeCanceled}
-	}
-	p.st = stateUploading
-	return m.stepUpload(r, id, p)
+	return m.ApplyPlan(m.ws, &m.ws.Results[0])
 }
 
 // freeQuota returns the host quota available for a new placement or
@@ -659,86 +590,6 @@ func (m *Maintainer) freeQuota(c overlay.PeerID) int {
 		free -= m.xfer.Reserved(c)
 	}
 	return free
-}
-
-// stepUpload pushes blocks to the best-ranked online pool members until
-// the archive holds n placed blocks.
-func (m *Maintainer) stepUpload(r *rng.Rand, id overlay.PeerID, p *peerState) StepResult {
-	m.refreshPool(r, id, p)
-	if m.xfer != nil && !p.unmetered {
-		return m.stepUploadTransfers(id, p)
-	}
-	// Compute each pool entry's eligibility once: within this step the
-	// owner is the only actor, so liveness, session state and quota of
-	// non-partner pool members cannot change — only hosts the owner
-	// places on do, and those leave the pool (and gain a partner mark)
-	// at that moment. takeBestPlaceable's per-placement scans then read
-	// one precomputed flag per entry instead of four ledger lookups.
-	for i := range p.pool {
-		e := &p.pool[i]
-		e.placeable = m.tab.Current(e.ref) &&
-			m.led.Online(e.ref.ID) &&
-			(p.unmetered || m.freeQuota(e.ref.ID) >= 1) &&
-			m.partnerMark[e.ref.ID] != m.markEpoch
-	}
-	deficit := m.targetBlocks(id) - m.led.Alive(id)
-	budget := m.params.UploadBudgetPerRound
-	if budget <= 0 {
-		budget = deficit // unlimited
-	}
-	for deficit > 0 && budget > 0 {
-		best := m.takeBestPlaceable(id, p)
-		if best == overlay.NoPeer {
-			break
-		}
-		m.place(id, p, best)
-		p.uploaded++
-		deficit--
-		budget--
-	}
-	if deficit > 0 {
-		return StepResult{Outcome: OutcomeNone} // keep going next round
-	}
-	res := StepResult{Uploaded: p.uploaded, Dropped: p.dropped}
-	if p.included {
-		res.Outcome = OutcomeRepaired
-	} else {
-		res.Outcome = OutcomeInitialDone
-		p.included = true
-	}
-	m.finishEpisode(p)
-	return res
-}
-
-// stepUploadTransfers is stepUpload's bandwidth-scheduled body: instead
-// of placing blocks it enqueues transfers to the best-ranked placeable
-// pool members, bounded by the remaining deficit (net of blocks already
-// on the wire) and the class's concurrency headroom. The episode
-// completes when the engine lands the last block through DeliverUpload,
-// never here, so the step outcome is always OutcomeNone.
-func (m *Maintainer) stepUploadTransfers(id overlay.PeerID, p *peerState) StepResult {
-	for i := range p.pool {
-		e := &p.pool[i]
-		e.placeable = m.tab.Current(e.ref) &&
-			m.led.Online(e.ref.ID) &&
-			m.freeQuota(e.ref.ID) >= 1 &&
-			m.partnerMark[e.ref.ID] != m.markEpoch
-	}
-	deficit := m.targetBlocks(id) - m.led.Alive(id) - m.xfer.Inflight(id)
-	slots := m.xfer.UploadSlots(id)
-	for deficit > 0 && slots > 0 {
-		best := m.takeBestPlaceable(id, p)
-		if best == overlay.NoPeer {
-			break
-		}
-		m.xfer.BeginUpload(id, m.tab.Ref(best))
-		// The host holds a reservation now; later picks in this step
-		// must see it as booked.
-		m.partnerMark[best] = m.markEpoch
-		deficit--
-		slots--
-	}
-	return StepResult{Outcome: OutcomeNone}
 }
 
 // DeliverUpload lands one in-flight block from owner on host: the
@@ -791,104 +642,17 @@ func (m *Maintainer) place(owner overlay.PeerID, p *peerState, host overlay.Peer
 		err = m.led.Place(owner, host)
 	}
 	if err != nil {
-		// takeBestPlaceable validated quota and liveness within this
-		// same single-threaded step; failure is a bug.
+		// The plan validated liveness, and ApplyPlan re-checked quota
+		// just before; failure is a bug.
 		panic(fmt.Sprintf("maintenance: placement %d->%d failed: %v", owner, host, err))
-	}
-	// The host is a partner now; later placements in the same step must
-	// see it through the current mark epoch.
-	m.partnerMark[host] = m.markEpoch
-}
-
-// refreshPool prunes dead/ineligible entries and samples new candidates
-// up to the per-round budget. Offline candidates are NOT pruned: they
-// agreed to the partnership and become placeable when they return.
-//
-// It opens a fresh partner-mark epoch for the acting owner: the owner's
-// current partners are stamped once (O(degree)), and every subsequent
-// "is this peer already a partner" check here and in takeBestPlaceable
-// is one array compare — replacing the O(degree) HasPlacement scan per
-// candidate that used to dominate churn-round profiles, with identical
-// outcomes (and therefore identical rng draw order).
-func (m *Maintainer) refreshPool(r *rng.Rand, id overlay.PeerID, p *peerState) {
-	m.markEpoch++
-	epoch := m.markEpoch
-	m.hostBuf = m.led.Hosts(id, m.hostBuf[:0])
-	for _, h := range m.hostBuf {
-		m.partnerMark[h] = epoch
-	}
-	if m.xfer != nil && !p.unmetered {
-		// Hosts of in-flight uploads are partners-to-be: they hold a
-		// quota reservation and must not be booked a second time while
-		// the first block is still on the wire.
-		m.hostBuf = m.xfer.PendingHosts(id, m.hostBuf[:0])
-		for _, h := range m.hostBuf {
-			m.partnerMark[h] = epoch
-		}
-	}
-
-	// Prune entries that can never be used again.
-	valid := p.pool[:0]
-	for _, e := range p.pool {
-		if !m.tab.Current(e.ref) || m.partnerMark[e.ref.ID] == epoch {
-			delete(p.inPool, e.ref.ID)
-			continue
-		}
-		valid = append(valid, e)
-	}
-	p.pool = valid
-
-	if len(p.pool) >= m.params.TotalBlocks {
-		return // pool is as large as any conceivable deficit
-	}
-	if cap(p.pool) < m.params.TotalBlocks {
-		// One-shot full-capacity allocation: a pool never holds more
-		// than TotalBlocks entries, the capacity survives episode resets
-		// and occupant replacement, so every slot pays this once —
-		// incremental append growth would instead realloc a handful of
-		// times per slot, spread over the whole run.
-		np := make([]poolEntry, len(p.pool), m.params.TotalBlocks)
-		copy(np, p.pool)
-		p.pool = np
-	}
-	if p.inPool == nil {
-		// Sized to the pool's hard cap so steady-state assigns never
-		// grow the table (the dedup map lives as long as the slot).
-		p.inPool = make(map[overlay.PeerID]uint32, m.params.TotalBlocks)
-	}
-	ctx := selection.Context{Round: m.env.Round()}
-	ownerView := m.env.View(id)
-	for tries := 0; tries < m.params.PoolSamplePerRound && len(p.pool) < m.params.TotalBlocks; tries++ {
-		c := m.env.SampleCandidate(r)
-		if c == overlay.NoPeer || c == id {
-			continue
-		}
-		if !m.led.Online(c) {
-			continue // cannot negotiate with an offline peer
-		}
-		if gen, ok := p.inPool[c]; ok && gen == m.tab.Gen(c) {
-			continue // already pooled
-		}
-		if !p.unmetered && m.freeQuota(c) < 1 {
-			continue
-		}
-		if m.partnerMark[c] == epoch {
-			continue // one block per partner per archive
-		}
-		candView := m.env.View(c)
-		if !selection.AgreeCtx(r, m.pol, ctx, ownerView, candView) {
-			continue
-		}
-		p.inPool[c] = m.tab.Gen(c)
-		p.pool = append(p.pool, poolEntry{ref: m.tab.Ref(c), score: m.scoreOf(ctx, c, candView)})
 	}
 }
 
 // takeBestPlaceable removes and returns the highest-scored pool entry
 // that can receive a block right now (alive, online, quota available,
 // not yet a partner), or NoPeer if none qualifies. Eligibility comes
-// from the placeable flags stepUpload — its sole caller — precomputed
-// for this step; the tie-breaking scan order (first entry in current
+// from the placeable flags planUpload or planUploadTransfers — its
+// callers — precomputed for this step; the tie-breaking scan order (first entry in current
 // pool order wins among equal scores, swap-remove on take) is
 // load-bearing for reproducibility and must not change.
 func (m *Maintainer) takeBestPlaceable(id overlay.PeerID, p *peerState) overlay.PeerID {

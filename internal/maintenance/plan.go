@@ -1,21 +1,23 @@
 package maintenance
 
-// Plan/apply maintenance: the v3 engine's parallel counterpart of Step.
+// The maintenance step as plan and apply. This file holds the single
+// implementation of the per-peer protocol (trigger, candidate pool,
+// decode point, uploads); Step runs it sequentially and the v3 engine
+// runs it shard-parallel.
 //
-// Step mutates the ledger as it goes, which is exactly what a
-// shard-parallel maintenance phase cannot do: owners in different
-// shards would race on host quota and on the shared partner-mark
-// scratch. PlanStep therefore runs the *same* decision procedure
-// against a frozen snapshot of the round (the ledger, table, transfer
-// scheduler and score memo as they stand after the walk merge), records
-// every intended side effect as a PlannedOp in a per-worker Workspace,
-// and defers all mutation. ApplyPlan then executes the recorded ops
-// sequentially, in canonical (shard, log) order, validating only the
-// genuinely contended resource — host quota net of transfer
-// reservations — at apply time.
+// PlanStep runs the decision procedure against the round state as it
+// stands — the ledger, table, transfer scheduler and score memo — and
+// records every intended ledger or scheduler mutation as a PlannedOp
+// in a Workspace instead of performing it. ApplyPlan then executes one
+// owner's recorded ops, validating only the resource owners contend
+// for: host quota net of transfer reservations. Step plans and applies
+// one owner at a time, so the quota it planned against is still there
+// at apply time. The v3 engine plans all of a round's owners first —
+// one goroutine per shard, each with its own Workspace — and applies
+// the plans sequentially in canonical (shard, log) order.
 //
-// Why frozen reads are sound: during the plan phase nothing mutates the
-// ledger, the table or the scheduler at all, so every read is
+// Why frozen reads are sound in the v3 plan phase: nothing mutates the
+// ledger, the table or the scheduler while it runs, so every read is
 // race-free. During the apply phase an owner's own placement rows are
 // mutated only by its own ops, no session flips or deaths occur, and
 // candidate liveness/generation is stable; the only way one owner's
@@ -27,10 +29,9 @@ package maintenance
 // Concurrency contract: PlanStep may run concurrently from one
 // goroutine per disjoint owner set, each with its own Workspace and its
 // own rng stream. It writes only owner-local state (the owner's
-// peerState and pool) and Workspace-local scratch; it never touches the
-// Maintainer's shared markEpoch/partnerMark/hostBuf, and it reads the
-// score memo without storing misses. ApplyPlan must run on a single
-// goroutine.
+// peerState and pool) and Workspace-local scratch, and a Workspace
+// from NewWorkspace reads the score memo without storing misses.
+// ApplyPlan and Step must run on a single goroutine.
 
 import (
 	"fmt"
@@ -77,14 +78,21 @@ type PlanResult struct {
 	OpEnd     int32
 }
 
-// Workspace is one plan-phase worker's scratch: its own partner-mark
-// epochs (the shared Maintainer arrays would race across workers), its
-// op log and results, and the read-only view accessor the engine
-// supplies.
+// Workspace is one planner's scratch: its partner-mark epochs, its op
+// log and results, and the view accessor the engine supplies.
+//
+// Partner-mark epochs: planRefreshPool stamps the acting owner's
+// current partners (and in-flight upload hosts) into a per-slot epoch
+// array, turning an O(owner degree) Ledger.HasPlacement scan per
+// candidate into one array compare per check. A fresh epoch per
+// refresh invalidates all previous marks at once; a planned placement
+// or transfer marks its host so the same step's later eligibility
+// checks see it as taken. The marks track partners only — pool
+// membership is deduplicated by each slot's inPool map.
 type Workspace struct {
-	// View describes a peer for the selection policy without mutating
-	// any shared memo (the engine's v3 accessor reads its view cache but
-	// never stores misses from the plan phase).
+	// View describes a peer for the selection policy. A plan-phase
+	// accessor must not mutate any shared memo (the engine's v3
+	// accessor reads its view cache but never stores misses).
 	View func(id overlay.PeerID) selection.View
 
 	// Ops and Results accumulate this worker's planned steps in owner
@@ -95,10 +103,16 @@ type Workspace struct {
 	markEpoch   uint64
 	partnerMark []uint64
 	hostBuf     []overlay.PeerID
+
+	// memo makes the planner store score-memo misses: set only on the
+	// Maintainer's own workspace, whose steps never run concurrently.
+	memo bool
 }
 
-// NewWorkspace returns a Workspace for a population of n slots using
-// the given read-only view accessor.
+// NewWorkspace returns a plan-phase Workspace for a population of n
+// slots using the given read-only view accessor. Its planner reads the
+// score memo without storing misses, so workspaces may plan
+// concurrently.
 func NewWorkspace(n int, view func(id overlay.PeerID) selection.View) *Workspace {
 	return &Workspace{
 		View:        view,
@@ -122,47 +136,47 @@ func (m *Maintainer) scoreOfRO(ctx selection.Context, c overlay.PeerID, v select
 	return m.pol.Score(ctx, v)
 }
 
-// PlanStep plans one round of maintenance for an online owner against
-// the frozen round state, appending one PlanResult (and any deferred
-// ops) to the Workspace. It is the plan-phase mirror of Step: the
-// decision structure, the pool sampling and the rng draw order are
-// identical; only the mutations are deferred.
+// PlanStep plans one round of maintenance for an online owner,
+// appending any deferred ops to the Workspace, plus a PlanResult when
+// the step has something to apply or report. A step that plans no op
+// and ends with OutcomeNone appends nothing; applying it would be a
+// no-op.
 func (m *Maintainer) PlanStep(r *rng.Rand, id overlay.PeerID, ws *Workspace) {
 	p := &m.peers[id]
+	if p.included && p.st == stateIdle {
+		if m.led.Visible(id) >= m.threshold(id) {
+			return // spurious visit: nothing to do
+		}
+		p.st = stateTriggered
+		p.epStart = m.env.Round()
+	}
 	pr := PlanResult{Owner: id, OpStart: int32(len(ws.Ops))}
-	if !p.included {
+	switch {
+	case !p.included:
 		// Initial (or post-loss) upload: straight to Uploading.
 		if p.st == stateIdle {
 			p.epStart = m.env.Round()
 		}
 		p.st = stateUploading
 		m.planUpload(r, id, p, ws, &pr, m.led.Alive(id))
-	} else {
-		switch p.st {
-		case stateIdle:
-			if m.led.Visible(id) >= m.threshold(id) {
-				// Spurious visit: nothing to do.
-			} else {
-				p.st = stateTriggered
-				p.epStart = m.env.Round()
-				m.planTriggered(r, id, p, ws, &pr)
-			}
-		case stateTriggered:
-			m.planTriggered(r, id, p, ws, &pr)
-		case stateUploading:
-			m.planUpload(r, id, p, ws, &pr, m.led.Alive(id))
-		default:
-			panic(fmt.Sprintf("maintenance: bad state %d", p.st))
-		}
+	case p.st == stateTriggered:
+		m.planTriggered(r, id, p, ws, &pr)
+	case p.st == stateUploading:
+		m.planUpload(r, id, p, ws, &pr, m.led.Alive(id))
+	default:
+		panic(fmt.Sprintf("maintenance: bad state %d", p.st))
 	}
 	pr.OpEnd = int32(len(ws.Ops))
+	if pr.OpEnd == pr.OpStart && !pr.Completed && pr.Res == (StepResult{}) {
+		return
+	}
 	ws.Results = append(ws.Results, pr)
 }
 
-// planTriggered mirrors stepTriggered: cancellations, stalls and the
-// RepairDelay hold commit at plan time (they touch only owner-local
-// state); the decode point's offline write-off is counted now and
-// deferred as OpDropOffline.
+// planTriggered gathers candidates while waiting for the decode point.
+// Cancellations, stalls and the RepairDelay hold commit at plan time
+// (they touch only owner-local state); the decode point's offline
+// write-off is counted now and deferred as OpDropOffline.
 func (m *Maintainer) planTriggered(r *rng.Rand, id overlay.PeerID, p *peerState, ws *Workspace, pr *PlanResult) {
 	visible := m.led.Visible(id)
 	if m.params.CancelOnRecover && visible >= m.threshold(id) {
@@ -170,6 +184,8 @@ func (m *Maintainer) planTriggered(r *rng.Rand, id overlay.PeerID, p *peerState,
 		pr.Res = StepResult{Outcome: OutcomeCanceled}
 		return
 	}
+	// Candidate gathering continues even while stalled; partners found
+	// now shorten the upload phase.
 	m.planRefreshPool(r, id, p, ws)
 	if visible < m.params.DataBlocks {
 		pr.Res = StepResult{Outcome: OutcomeStalled}
@@ -181,14 +197,21 @@ func (m *Maintainer) planTriggered(r *rng.Rand, id overlay.PeerID, p *peerState,
 	}
 	p.outage = false // decodable again; any new outage is a fresh event
 	if p.waited < m.params.RepairDelay {
+		// Deliberately hold the repair: partners may come back, letting
+		// CancelOnRecover avoid the whole episode.
 		p.waited++
 		return // OutcomeNone
 	}
-	// Decode point: count the offline write-off against the frozen
-	// placements; the drops themselves are deferred. No session flips or
-	// deaths happen between plan and apply, and an owner's rows are
-	// mutated only by its own (later) ops, so the apply-time re-scan
-	// drops exactly the placements counted here.
+	// Decode point: download k blocks, re-encode, write off partners
+	// considered gone. The offline write-off is counted against the
+	// current placements and the drops themselves are deferred. No
+	// session flips or deaths happen between plan and apply, and an
+	// owner's rows are mutated only by its own (later) ops, so the
+	// apply-time re-scan drops exactly the placements counted here. The
+	// upload below refreshes the pool before the drops land, which
+	// changes nothing: a dropped host was a partner at this step's first
+	// refresh, so no pool entry holds it, and being offline it is
+	// neither sampled nor placeable.
 	alive := m.led.Alive(id)
 	if m.params.DropOffline {
 		dropped := 0
@@ -208,6 +231,8 @@ func (m *Maintainer) planTriggered(r *rng.Rand, id overlay.PeerID, p *peerState,
 		}
 	}
 	if alive >= m.targetBlocks(id) {
+		// Nothing to upload (possible with DropOffline=false when only
+		// offline partners pushed us under the threshold).
 		m.finishEpisode(p)
 		pr.Res = StepResult{Outcome: OutcomeCanceled}
 		return
@@ -216,14 +241,21 @@ func (m *Maintainer) planTriggered(r *rng.Rand, id overlay.PeerID, p *peerState,
 	m.planUpload(r, id, p, ws, pr, alive)
 }
 
-// planUpload mirrors stepUpload against the frozen round state. alive
-// is the owner's live block count net of drops planned this step.
+// planUpload pushes blocks to the best-ranked online pool members until
+// the archive holds its target block count. alive is the owner's live
+// block count net of drops planned this step.
 func (m *Maintainer) planUpload(r *rng.Rand, id overlay.PeerID, p *peerState, ws *Workspace, pr *PlanResult, alive int) {
 	m.planRefreshPool(r, id, p, ws)
 	if m.xfer != nil && !p.unmetered {
 		m.planUploadTransfers(id, p, ws, alive)
 		return // OutcomeNone; transfer completions finish episodes
 	}
+	// Compute each pool entry's eligibility once: within this step the
+	// owner is the only actor, so liveness, session state and quota of
+	// non-partner pool members cannot change — only hosts the owner
+	// places on do, and those leave the pool (and gain a partner mark)
+	// at that moment. takeBestPlaceable's per-placement scans then read
+	// one precomputed flag per entry instead of four ledger lookups.
 	for i := range p.pool {
 		e := &p.pool[i]
 		e.placeable = m.tab.Current(e.ref) &&
@@ -255,8 +287,13 @@ func (m *Maintainer) planUpload(r *rng.Rand, id overlay.PeerID, p *peerState, ws
 	pr.Completed = true
 }
 
-// planUploadTransfers mirrors stepUploadTransfers: transfer begins are
-// deferred as OpBeginUpload; the step outcome is always OutcomeNone.
+// planUploadTransfers is planUpload's bandwidth-scheduled body: instead
+// of placing blocks it plans transfers (OpBeginUpload) to the
+// best-ranked placeable pool members, bounded by the remaining deficit
+// (net of blocks already on the wire) and the class's concurrency
+// headroom. The episode completes when the engine lands the last block
+// through DeliverUpload, never here, so the step outcome is always
+// OutcomeNone.
 func (m *Maintainer) planUploadTransfers(id overlay.PeerID, p *peerState, ws *Workspace, alive int) {
 	for i := range p.pool {
 		e := &p.pool[i]
@@ -273,16 +310,20 @@ func (m *Maintainer) planUploadTransfers(id overlay.PeerID, p *peerState, ws *Wo
 			break
 		}
 		ws.Ops = append(ws.Ops, PlannedOp{Kind: OpBeginUpload, Host: best})
+		// The host will hold a reservation; later picks in this step must
+		// see it as booked.
 		ws.partnerMark[best] = ws.markEpoch
 		deficit--
 		slots--
 	}
 }
 
-// planRefreshPool mirrors refreshPool using the Workspace's own
-// partner-mark epochs, the frozen ledger/scheduler state and the
-// read-only view accessor. Sampling and acceptance draw from r exactly
-// as refreshPool does, so the per-slot draw sequence is reproducible.
+// planRefreshPool prunes dead/ineligible pool entries and samples new
+// candidates up to the per-round budget. Offline candidates are NOT
+// pruned: they agreed to the partnership and become placeable when
+// they return. It opens a fresh partner-mark epoch in the Workspace
+// for the acting owner (see Workspace). Sampling and acceptance draw
+// from r only, so an owner's draw sequence is reproducible.
 func (m *Maintainer) planRefreshPool(r *rng.Rand, id overlay.PeerID, p *peerState, ws *Workspace) {
 	ws.markEpoch++
 	epoch := ws.markEpoch
@@ -291,6 +332,9 @@ func (m *Maintainer) planRefreshPool(r *rng.Rand, id overlay.PeerID, p *peerStat
 		ws.partnerMark[h] = epoch
 	}
 	if m.xfer != nil && !p.unmetered {
+		// Hosts of in-flight uploads are partners-to-be: they hold a
+		// quota reservation and must not be booked a second time while
+		// the first block is still on the wire.
 		ws.hostBuf = m.xfer.PendingHosts(id, ws.hostBuf[:0])
 		for _, h := range ws.hostBuf {
 			ws.partnerMark[h] = epoch
@@ -312,11 +356,16 @@ func (m *Maintainer) planRefreshPool(r *rng.Rand, id overlay.PeerID, p *peerStat
 		return // pool is as large as any conceivable deficit
 	}
 	if cap(p.pool) < m.params.TotalBlocks {
+		// One-shot full-capacity allocation: a pool never holds more
+		// than TotalBlocks entries, the capacity survives episode resets
+		// and occupant replacement, so every slot pays this once.
 		np := make([]poolEntry, len(p.pool), m.params.TotalBlocks)
 		copy(np, p.pool)
 		p.pool = np
 	}
 	if p.inPool == nil {
+		// Sized to the pool's hard cap so steady-state assigns never
+		// grow the table (the dedup map lives as long as the slot).
 		p.inPool = make(map[overlay.PeerID]uint32, m.params.TotalBlocks)
 	}
 	ctx := selection.Context{Round: m.env.Round()}
@@ -343,7 +392,13 @@ func (m *Maintainer) planRefreshPool(r *rng.Rand, id overlay.PeerID, p *peerStat
 			continue
 		}
 		p.inPool[c] = m.tab.Gen(c)
-		p.pool = append(p.pool, poolEntry{ref: m.tab.Ref(c), score: m.scoreOfRO(ctx, c, candView)})
+		var score float64
+		if ws.memo {
+			score = m.scoreOf(ctx, c, candView)
+		} else {
+			score = m.scoreOfRO(ctx, c, candView)
+		}
+		p.pool = append(p.pool, poolEntry{ref: m.tab.Ref(c), score: score})
 	}
 }
 
@@ -369,7 +424,7 @@ func (m *Maintainer) ApplyPlan(ws *Workspace, pr *PlanResult) StepResult {
 				}
 			}
 		case OpPlace:
-			if m.freeQuota(op.Host) < 1 {
+			if !p.unmetered && m.freeQuota(op.Host) < 1 {
 				// Another owner's apply consumed the quota the plan saw.
 				// Un-count the placement and retry next round: the pool
 				// entry is already consumed, which is fine — the slot is

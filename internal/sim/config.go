@@ -38,14 +38,14 @@ type Config struct {
 	Rounds int64
 	// Seed drives all randomness; equal seeds give identical runs.
 	Seed uint64
-	// Shards is the worker count of the sharded engine: the slot space
-	// is partitioned into Shards contiguous ranges and the engine's
-	// draw-free phases (availability-history application, view/score
-	// cache warming, the final inclusion scan) fan out across them,
-	// merged back deterministically. Results are bit-identical at every
-	// value — see the v2 rng-order invariant in the package comment. 0
-	// or 1 runs the historical sequential path; values above the slot
-	// count are allowed (the excess shards own empty ranges).
+	// Shards is the v3 engine's worker count: the slot space is
+	// partitioned into Shards contiguous ranges, and the churn walk,
+	// the cache warming and the maintenance planning fan out across
+	// them, merged back deterministically. Results are bit-identical
+	// at every value. Values of 2 or more require Walk = WalkV3 (the
+	// v1 walk is sequential); 0 and 1 both mean one worker, and values
+	// above the slot count are allowed (the excess shards own empty
+	// ranges).
 	Shards int
 	// Walk selects the engine's walk/maintenance execution mode. WalkV1
 	// (the default; "" normalises to it) is the historical sequential
@@ -312,6 +312,9 @@ func (c Config) Validate() (Config, error) {
 	case WalkV1, WalkV3:
 	default:
 		return c, fmt.Errorf("sim: unknown walk mode %q (want %q or %q)", c.Walk, WalkV1, WalkV3)
+	}
+	if c.Shards >= 2 && c.Walk != WalkV3 {
+		return c, fmt.Errorf("sim: Shards = %d requires Walk = %q (the %q walk is sequential)", c.Shards, WalkV3, c.Walk)
 	}
 	if c.Walk == WalkV3 {
 		// Guard against silent mode drift: every option the v3 path does

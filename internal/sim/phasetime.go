@@ -11,9 +11,8 @@ type PhaseTimes struct {
 	// Walk covers the churn phases: shocks, restore demand, replay
 	// application and the walk itself (parallel under -walk=v3).
 	Walk time.Duration
-	// Merge covers the round barrier: the deferred history-op
-	// application under v1 sharding, the cross-shard effect merge under
-	// v3.
+	// Merge covers the round barrier of the v3 engine: the cross-shard
+	// effect merge. The v1 walk has no barrier and leaves it zero.
 	Merge time.Duration
 	// TransferDrain covers due transfer completions (bandwidth mode).
 	TransferDrain time.Duration

@@ -9,10 +9,10 @@ package sim
 // The rng rule: every draw an evaluation makes (partner subsampling)
 // comes from a stream derived via rng.Derive(seed, redunStreamIndex),
 // never from the engine's canonical stream s.r. The phase runs after
-// the churn walk's history barrier and before the maintenance shuffle,
-// touches the ledger only through deterministic drops, and iterates
-// slots in ascending order — so adaptive runs are bit-identical at
-// every shard count, and fixed runs never see the stream at all.
+// the churn walk and before the maintenance phase, touches the ledger
+// only through deterministic drops, and iterates slots in ascending
+// order — so adaptive runs are bit-identical at every shard count, and
+// fixed runs never see the stream at all.
 
 import (
 	"p2pbackup/internal/overlay"
@@ -21,8 +21,8 @@ import (
 )
 
 // redunStreamIndex is the rng.Derive index of the redundancy scratch
-// stream ("REDUNDAN" in ASCII). Shard scratch streams derive from small
-// integer indexes (0..Shards-1), so any value >= 2^32 cannot collide.
+// stream ("REDUNDAN" in ASCII), far from the v3 engine's per-slot
+// stream indexes (v3SlotStreamBase + slot).
 const redunStreamIndex uint64 = 0x5245_4455_4e44_414e
 
 // redunEstGain is the per-evaluation EWMA gain of the availability

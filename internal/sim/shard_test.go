@@ -10,22 +10,17 @@ import (
 )
 
 // The sharded engine's correctness claim is equivalence, not
-// similarity: for every registered scenario the probe-event digest —
-// every churn event, repair, outage, loss, stall, cancel, shock,
-// transfer and round-end, field for field, in emission order, plus the
-// result counters — must be identical at every shard count, and S<=1
-// must additionally reproduce the pre-shard goldens bit for bit (the
-// v2 rng-order invariant's backward-compatibility guarantee).
+// similarity: for every scenario the probe-event digest — every churn
+// event, repair, outage, loss, stall, cancel, shock, transfer and
+// round-end, field for field, in emission order, plus the result
+// counters — must be identical at every shard count (the v3 invariant
+// of walk3.go).
 
 // shardScenarios returns the equivalence suite: the golden scenarios
-// of determinism_test.go plus a bandwidth run, each paired with the
-// pre-shard golden digest where one is pinned (0 = not pinned; the
-// bandwidth digest is pinned by TestGoldenTransferDigests if present,
-// equivalence across shard counts is what matters here).
+// of determinism_test.go plus bandwidth and adaptive-redundancy runs.
 func shardScenarios(t *testing.T) []struct {
-	name   string
-	cfg    Config
-	golden uint64
+	name string
+	cfg  Config
 } {
 	t.Helper()
 	shockCfg := digestConfig()
@@ -47,79 +42,23 @@ func shardScenarios(t *testing.T) []struct {
 	adaptBwCfg.Bandwidth = bw
 	adaptBwCfg.RedundancySpec = "adaptive:target=0.95,eval=12"
 	return []struct {
-		name   string
-		cfg    Config
-		golden uint64
+		name string
+		cfg  Config
 	}{
-		{"iid", digestConfig(), 0xb0298adf8abb6acd},
-		{"diurnal", diurnalCfg, 0xc1c1ef64a949edb6},
-		{"shock", shockCfg, 0x27e7bdc89614a401},
-		{"bandwidth", bwCfg, 0},
-		{"adaptive", adaptCfg, 0},
-		{"adaptive-bandwidth", adaptBwCfg, 0},
-	}
-}
-
-// TestShardEquivalence: digests must be identical for shards ∈
-// {1, 2, 3, 8} on every scenario, and equal to the pre-shard golden
-// where one is pinned.
-func TestShardEquivalence(t *testing.T) {
-	for _, sc := range shardScenarios(t) {
-		t.Run(sc.name, func(t *testing.T) {
-			ref := sc.cfg
-			ref.Shards = 1 // explicit S=1 must be the legacy sequential path
-			want := digestRun(t, ref)
-			if sc.golden != 0 && want != sc.golden {
-				t.Fatalf("S=1 digest = %#x, want golden %#x (legacy path drifted)", want, sc.golden)
-			}
-			for _, shards := range []int{2, 3, 8} {
-				cfg := sc.cfg
-				cfg.Shards = shards
-				if got := digestRun(t, cfg); got != want {
-					t.Errorf("S=%d digest = %#x, want %#x (sharded engine diverged from S=1)", shards, got, want)
-				}
-			}
-		})
-	}
-}
-
-// TestShardEquivalenceReplay covers the replay engine: a trace recorded
-// sharded must equal one recorded sequentially, and replaying it under
-// a different strategy must digest identically at every shard count
-// (pinned to the pre-shard replay golden).
-func TestShardEquivalenceReplay(t *testing.T) {
-	record := func(shards int) *churn.Trace {
-		rec := digestConfig()
-		rec.RecordTrace = true
-		rec.Observers = nil
-		rec.Shards = shards
-		s, err := New(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s.Run().Trace
-	}
-	trace := record(1)
-	if got := record(4); len(got.Events) != len(trace.Events) {
-		t.Fatalf("sharded recording produced %d events, sequential %d", len(got.Events), len(trace.Events))
-	}
-	const want uint64 = 0x069cd8d20f8f8853 // pre-shard replay golden
-	for _, shards := range []int{1, 2, 3, 8} {
-		rep := digestConfig()
-		rep.Observers = nil
-		rep.Replay = trace
-		rep.StrategySpec = "monitored-availability"
-		rep.Shards = shards
-		if got := digestRun(t, rep); got != want {
-			t.Errorf("replay S=%d digest = %#x, want %#x", shards, got, want)
-		}
+		{"iid", digestConfig()},
+		{"diurnal", diurnalCfg},
+		{"shock", shockCfg},
+		{"bandwidth", bwCfg},
+		{"adaptive", adaptCfg},
+		{"adaptive-bandwidth", adaptBwCfg},
 	}
 }
 
 // TestShardEquivalenceRandomizedConfigs is the testing/quick-style
 // sweep: random seeds, population sizes, horizons and shard counts,
-// each compared against its own S=1 reference digest. Parameters are
-// drawn from a fixed-seed generator so a failure reproduces exactly.
+// each v3 run compared against its own S=1 reference digest.
+// Parameters are drawn from a fixed-seed generator so a failure
+// reproduces exactly.
 func TestShardEquivalenceRandomizedConfigs(t *testing.T) {
 	r := rng.New(0xC0FFEE)
 	iters := 10
@@ -128,6 +67,7 @@ func TestShardEquivalenceRandomizedConfigs(t *testing.T) {
 	}
 	for i := 0; i < iters; i++ {
 		cfg := DefaultConfig()
+		cfg.Walk = WalkV3
 		cfg.Seed = r.Uint64()
 		cfg.TotalBlocks = 16
 		cfg.DataBlocks = 8
@@ -161,35 +101,6 @@ func TestShardEquivalenceRandomizedConfigs(t *testing.T) {
 	}
 }
 
-// TestShardScratchStreams pins the sharded engine's randomness seam:
-// the per-shard scratch streams must be derived from (seed, shard
-// index), distinct across shards, and identical across runs — and the
-// canonical stream must not depend on them (covered by the equivalence
-// digests above; this test checks the streams themselves).
-func TestShardScratchStreams(t *testing.T) {
-	cfg := digestConfig()
-	cfg.Shards = 4
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.shards == nil || len(s.shards.scratch) != 4 {
-		t.Fatalf("shard state = %+v, want 4 scratch streams", s.shards)
-	}
-	seen := make(map[uint64]int)
-	for i, sc := range s.shards.scratch {
-		want := rng.New(rng.Derive(cfg.Seed, uint64(i))).Uint64()
-		got := sc.Uint64()
-		if got != want {
-			t.Errorf("shard %d scratch stream not derived from (seed, %d)", i, i)
-		}
-		if prev, dup := seen[got]; dup {
-			t.Errorf("shards %d and %d share a scratch stream", prev, i)
-		}
-		seen[got] = i
-	}
-}
-
 // TestShardRangePartition: the shard ranges must partition [0,
 // NumPeers) exactly — contiguous, disjoint, covering — including when
 // the shard count exceeds the slot count.
@@ -197,10 +108,10 @@ func TestShardRangePartition(t *testing.T) {
 	for _, tc := range []struct{ peers, shards int }{
 		{300, 2}, {300, 3}, {300, 7}, {17, 16}, {17, 64}, {2, 9},
 	} {
-		s := &Simulation{cfg: Config{NumPeers: tc.peers}, shards: &shardState{n: tc.shards}}
+		v3 := &v3State{n: tc.shards, peers: tc.peers}
 		next := 0
 		for i := 0; i < tc.shards; i++ {
-			lo, hi := s.shardRange(i)
+			lo, hi := v3.shardRange(i)
 			if lo != next || hi < lo || hi > tc.peers {
 				t.Fatalf("peers=%d shards=%d: shard %d range [%d,%d), want start %d",
 					tc.peers, tc.shards, i, lo, hi, next)

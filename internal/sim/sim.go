@@ -187,12 +187,6 @@ type Simulation struct {
 
 	actors []overlay.PeerID // scratch: peers acting this round
 
-	// shards is the sharded-engine state (Config.Shards >= 2): the
-	// draw-free phases fan out across slot-partitioned workers under
-	// the v2 rng-order invariant (see shard.go). nil runs the
-	// historical sequential path.
-	shards *shardState
-
 	// v3 is the shard-parallel walk/maintenance engine state
 	// (Config.Walk = WalkV3, see walk3.go). nil runs the v1 walk.
 	v3 *v3State
@@ -278,18 +272,7 @@ func New(cfg Config) (*Simulation, error) {
 		s.redun = newRedunState(cfg)
 		s.maint.SetRedundancy((*simRedun)(s))
 	}
-	if cfg.Shards >= 2 {
-		s.shards = newShardState(cfg)
-	}
 	if cfg.Walk == WalkV3 {
-		if s.shards == nil {
-			// v3 runs the sharded code path (warm, inclusion scan, range
-			// partitioning) even at a single shard, so S=1 and S=k execute
-			// identical code.
-			one := cfg
-			one.Shards = 1
-			s.shards = newShardState(one)
-		}
 		s.v3 = newV3State(s)
 	}
 	s.phases = &PhaseTimes{}
@@ -446,7 +429,7 @@ func (s *Simulation) initPeer(id overlay.PeerID, round int64, profile int) {
 	p.death = addClamped(round, life)
 	p.online = s.r.Bool(p.avail)
 	s.led.SetOnline(id, p.online)
-	s.resetHistory(id) // fresh identity: observations start over
+	s.hist[id].Reset() // fresh identity: observations start over
 	s.invalidateSlot(id)
 	s.recordSession(round, id, p.online)
 	p.toggle = addClamped(round, churn.SessionLengthAt(s.cfg.Avail, s.r, p.avail, p.online, round))
@@ -499,29 +482,11 @@ func (s *Simulation) invalidateSlot(id overlay.PeerID) {
 
 // recordSession feeds a session transition into the slot's availability
 // history. Rounds advance monotonically under engine control, so a
-// record failure is a bug. While the sharded engine's churn phases run,
-// the mutation is logged instead and applied — per-slot order intact —
-// at the post-walk barrier; nothing reads a population history between
-// here and there, so the deferral is invisible.
+// record failure is a bug.
 func (s *Simulation) recordSession(round int64, id overlay.PeerID, online bool) {
-	if s.shards != nil && s.shards.logging {
-		s.logHistOp(histOp{round: round, slot: int32(id), kind: histOpRecord, online: online})
-		return
-	}
 	if err := s.hist[id].RecordTransition(round, online); err != nil {
 		panic(err)
 	}
-}
-
-// resetHistory clears the slot's availability history when its
-// occupant is replaced (observations belong to identities, not slots),
-// deferring through the sharded engine's op log like recordSession.
-func (s *Simulation) resetHistory(id overlay.PeerID) {
-	if s.shards != nil && s.shards.logging {
-		s.logHistOp(histOp{slot: int32(id), kind: histOpReset})
-		return
-	}
-	s.hist[id].Reset()
 }
 
 // peerEvent builds the probe payload for a population peer.
@@ -570,7 +535,7 @@ func (e *simEnv) View(id overlay.PeerID) selection.View {
 
 // materializeView fills (or returns) the per-round view memo entry of
 // a population slot. Besides the lazy miss path of simEnv.View it is
-// the unit of the sharded engine's parallel warm phase, which calls it
+// the unit of the v3 engine's parallel warm phase, which calls it
 // for disjoint slot ranges — safe because it writes only the slot's
 // own memo entry and reads state that is frozen between the churn walk
 // and the maintenance phase.
@@ -648,7 +613,12 @@ func (s *Simulation) runContext(ctx context.Context) (*Result, error) {
 			s.cfg.Progress(s.round + 1)
 		}
 	}
-	included := s.countIncluded()
+	included := 0
+	for id := range s.peers {
+		if s.maint.Included(overlay.PeerID(id)) {
+			included++
+		}
+	}
 	res := &Result{
 		Config:          s.cfg,
 		Collector:       s.col,
@@ -692,11 +662,6 @@ func (s *Simulation) stepRound() {
 	s.actors = s.actors[:0]
 	s.curQ, s.nextQ = s.nextQ, s.curQ
 	s.walkPos = -1
-	if s.shards != nil {
-		// The churn phases log availability-history mutations instead of
-		// applying them; the log drains at the post-walk barrier below.
-		s.shards.logging = true
-	}
 
 	// Phase 0: correlated-failure shocks, so this round's churn and
 	// maintenance already see the damage; then restore demand (a flash
@@ -726,15 +691,6 @@ func (s *Simulation) stepRound() {
 	s.walkPos = math.MaxInt32
 	s.phaseLap(&s.phases.Walk, &pt)
 
-	// Sharded barrier: apply the walk's deferred history mutations, one
-	// worker per shard. Must complete before anything reads a history —
-	// the earliest readers are the warm phase and the maintenance
-	// phase's candidate views.
-	if s.shards != nil {
-		s.applyHistOps()
-	}
-	s.phaseLap(&s.phases.Merge, &pt)
-
 	// Phase 1.5: due transfer completions, after the churn walk so a
 	// same-round death or offline event wins over the completion (the
 	// transfer aborted or suspended before it could land), before the
@@ -745,24 +701,14 @@ func (s *Simulation) stepRound() {
 	}
 	s.phaseLap(&s.phases.TransferDrain, &pt)
 
-	// Phase 1.6: adaptive redundancy evaluation, after the history
-	// barrier (it reads monitored uptimes) and before the maintenance
-	// shuffle (a grow decision arms its slot for next round's walk).
+	// Phase 1.6: adaptive redundancy evaluation, after the walk (it
+	// reads monitored uptimes) and before the maintenance shuffle (a
+	// grow decision arms its slot for next round's walk).
 	// Draws only from the derived scratch stream, never from s.r.
 	if s.redun != nil {
 		s.stepRedundancy(round)
 	}
 	s.phaseLap(&s.phases.Evaluation, &pt)
-
-	// Sharded warm phase: when the actor set will probe a large
-	// fraction of the population, materialise every slot's view (and
-	// pure-policy score) in parallel before maintenance reads them
-	// through the per-round memos. Consumes no randomness and computes
-	// exactly the values the lazy miss paths would, so it is invisible
-	// to trajectories at any shard count.
-	if s.shards != nil && s.warmWorthwhile() {
-		s.warmCaches()
-	}
 
 	// Phase 2: maintenance in random order (the paper randomises peer
 	// execution order each round).

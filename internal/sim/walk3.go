@@ -2,9 +2,12 @@
 // maintenance phase behind a deterministic cross-shard merge.
 //
 // The v1 walk is pinned to the historical scan's single rng stream, so
-// it cannot parallelise (see the package comment's rng-order invariant
-// and shard.go's v2 note on why). v3 breaks that dependency by
-// construction instead of by violation:
+// it cannot parallelise: it interleaves draws with order-dependent
+// shared reads (a session flip at slot j changes what slot i > j
+// observes, watcher crossings grow the same round's walk membership),
+// and its maintenance contends for host quota in shuffled order (see
+// the package comment's rng-order invariant). v3 breaks that
+// dependency by construction instead of by violation:
 //
 //   - Randomness is per slot, not global: slot i draws every walk and
 //     maintenance-plan decision from its own stream, seeded
@@ -34,11 +37,10 @@
 // The v3 invariant: a v3 trajectory is a pure function of the config —
 // bit-identical at every shard count S >= 1, on every machine, under
 // any scheduler. S=1 runs the same code path as S=k, so walk3_test.go
-// pins v3 digests once and holds every S to them, the way
-// shard_test.go holds v2 to v1.
+// pins v3 digests once and holds every S to them.
 //
 // v3 is deliberately NOT draw-compatible with v1 — that is why the
-// goldens are versioned. Beyond the stream split, four semantic
+// goldens are versioned. Beyond the stream split, three semantic
 // differences are accepted and deterministic:
 //
 //   - a watcher crossing caused mid-walk arms its slot for the NEXT
@@ -49,8 +51,7 @@
 //   - the maintenance phase runs actors in ascending slot order rather
 //     than v1's global shuffle (the shuffle's draw would otherwise
 //     serialise the round), and plans against frozen quota — an owner
-//     that loses a quota race at apply time retries next round;
-//   - the decode-point pool refresh sees the pre-drop host set.
+//     that loses a quota race at apply time retries next round.
 
 package sim
 
@@ -68,9 +69,8 @@ import (
 
 // v3SlotStreamBase is the rng.Derive index base of the per-slot
 // streams: slot i draws from Derive(seed, v3SlotStreamBase+i). The
-// offset keeps the slot index space disjoint from the shard scratch
-// streams (small indexes) and the adaptive-redundancy stream
-// (redunStreamIndex) under the same seed.
+// offset keeps the slot index space disjoint from the
+// adaptive-redundancy stream (redunStreamIndex) under the same seed.
 const v3SlotStreamBase uint64 = 1 << 33
 
 // v3EntryKind discriminates a logged cross-shard effect.
@@ -139,6 +139,7 @@ func (w *v3Worker) reset() {
 // v3State is the v3 engine's per-run state.
 type v3State struct {
 	n       int        // shard count (>= 1)
+	peers   int        // population slots the shards partition
 	streams []rng.Rand // one derived stream per population slot
 	visits  []int32    // scratch: the round's frozen walk set, ascending
 	workers []v3Worker
@@ -155,6 +156,7 @@ func newV3State(s *Simulation) *v3State {
 	}
 	v3 := &v3State{
 		n:       n,
+		peers:   cfg.NumPeers,
 		streams: make([]rng.Rand, cfg.NumPeers),
 		workers: make([]v3Worker, n),
 	}
@@ -166,6 +168,53 @@ func newV3State(s *Simulation) *v3State {
 		v3.workers[i].ws = maintenance.NewWorkspace(slots, s.viewRO)
 	}
 	return v3
+}
+
+// shardRange returns shard i's slot range [lo, hi) over the population.
+// Ranges are contiguous, cover [0, peers) exactly, and are empty for
+// excess shards when n > peers.
+func (v3 *v3State) shardRange(i int) (lo, hi int) {
+	return v3.peers * i / v3.n, v3.peers * (i + 1) / v3.n
+}
+
+// warmWorthwhile reports whether this round's maintenance phase, with
+// the given number of actors, is expected to probe enough distinct
+// candidates that materialising every population slot's view (and
+// pure-policy score) up front beats lazy per-probe misses. The actor
+// count is the same at every shard count, so the decision cannot make
+// S=k diverge from S=1 — and warming is invisible anyway: it consumes
+// no randomness and writes only memo entries the lazy path would
+// compute to the same values.
+func (s *Simulation) warmWorthwhile(actors int) bool {
+	return actors*s.cfg.PoolSamplePerRound >= s.cfg.NumPeers/2
+}
+
+// warmCaches materialises the per-round view memo (and, when the score
+// cache is enabled, the score memo) for every population slot, one
+// shard per worker. Safe because the peer, history and oracle state a
+// view reads is frozen between the merge and the maintenance phase,
+// and each worker writes only its own shard's memo entries.
+func (s *Simulation) warmCaches() {
+	ctx := selection.Context{Round: s.round}
+	var wg sync.WaitGroup
+	for i := 0; i < s.v3.n; i++ {
+		lo, hi := s.v3.shardRange(i)
+		if lo >= hi {
+			continue
+		}
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			for id := lo; id < hi; id++ {
+				s.materializeView(overlay.PeerID(id))
+			}
+			// The views for [lo, hi) were materialised by this same
+			// worker just above, so the accessor is a pure memo read.
+			s.maint.WarmScoreRange(ctx, overlay.PeerID(lo), overlay.PeerID(hi),
+				func(id overlay.PeerID) selection.View { return s.viewVal[id] })
+		}(lo, hi)
+	}
+	wg.Wait()
 }
 
 // viewRO is the plan phase's read-only view accessor: a warmed memo
@@ -244,7 +293,7 @@ func (s *Simulation) stepRoundV3() {
 	for i := 0; i < v3.n; i++ {
 		w := &v3.workers[i]
 		w.reset()
-		_, hi := s.shardRange(i)
+		_, hi := v3.shardRange(i)
 		lo := cut
 		for cut < len(v3.visits) && int(v3.visits[cut]) < hi {
 			cut++
@@ -290,7 +339,7 @@ func (s *Simulation) stepRoundV3() {
 		totalActors += len(v3.workers[i].actors)
 	}
 	if totalActors > 0 {
-		if s.warmWorthwhileN(totalActors) {
+		if s.warmWorthwhile(totalActors) {
 			s.warmCaches()
 		}
 		for i := 0; i < v3.n; i++ {
@@ -447,8 +496,7 @@ func (s *Simulation) initPeerV3(w *v3Worker, id overlay.PeerID, round int64, pro
 	life := s.cfg.Profiles.SampleLifetime(r, prof)
 	p.death = addClamped(round, life)
 	p.online = r.Bool(p.avail)
-	// Histories are slot-owned during the walk: mutate directly, no op
-	// log (the v1 sharded path's logging flag stays off under v3).
+	// Histories are slot-owned during the walk: mutate directly.
 	s.hist[id].Reset()
 	s.invalidateSlot(id)
 	if err := s.hist[id].RecordTransition(round, p.online); err != nil {

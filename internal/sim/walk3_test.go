@@ -5,12 +5,13 @@ import (
 	"sync"
 	"testing"
 
+	"p2pbackup/internal/overlay"
 	"p2pbackup/internal/rng"
 	"p2pbackup/internal/selection"
 	"p2pbackup/internal/transfer"
 )
 
-// The v3 engine's correctness claim mirrors the v2 one (shard_test.go)
+// The v3 engine's correctness claim is shard equivalence (shard_test.go)
 // with a versioned twist: v3 digests are pinned separately from the v1
 // goldens (draw order differs by construction), and every shard count
 // S ∈ {1, 2, 4, 8} must reproduce the pinned v3 digest bit for bit —
@@ -88,12 +89,27 @@ func TestWalkV3ReplayEquivalence(t *testing.T) {
 	}
 }
 
+// abortProbe counts transfer aborts and completions: both occurring in
+// one run is the signature of deaths (or session drops) racing
+// deliveries.
+type abortProbe struct {
+	BaseProbe
+	aborts, completes int
+}
+
+func (p *abortProbe) ProbeEvents() EventSet {
+	return EventTransferAbort | EventTransferComplete
+}
+func (p *abortProbe) OnTransferAbort(TransferEvent)    { p.aborts++ }
+func (p *abortProbe) OnTransferComplete(TransferEvent) { p.completes++ }
+
 // TestWalkV3EdgeCases targets the merge's corner geometry: more shards
 // than slots, a two-shard split whose boundary repair traffic must
 // straddle constantly (tight quota forces cross-boundary placements),
 // and kill shocks under bandwidth mode so same-round cross-shard
 // death-vs-delivery collisions occur. Each case is held to its own
-// S=1 reference.
+// S=1 reference, and where a case targets an edge, an S=2 run asserts
+// that the scenario actually hit it.
 func TestWalkV3EdgeCases(t *testing.T) {
 	bw, err := transfer.Parse("skewed")
 	if err != nil {
@@ -115,14 +131,46 @@ func TestWalkV3EdgeCases(t *testing.T) {
 		{Name: "regional-kill", Rate: 0.02, Fraction: 0.3, Regions: 4, Kill: true},
 	}
 
+	// crossings counts placements whose owner and host sit on opposite
+	// sides of the S=2 boundary, in each direction.
+	crossings := func(t *testing.T, cfg Config) {
+		s := runV3S2(t, cfg)
+		boundary := overlay.PeerID(cfg.NumPeers / 2)
+		lowHigh, highLow := 0, 0
+		var buf []overlay.PeerID
+		for id := 0; id < cfg.NumPeers; id++ {
+			owner := overlay.PeerID(id)
+			buf = s.Ledger().Hosts(owner, buf[:0])
+			for _, h := range buf {
+				switch {
+				case owner < boundary && h >= boundary:
+					lowHigh++
+				case owner >= boundary && h < boundary:
+					highLow++
+				}
+			}
+		}
+		if lowHigh == 0 || highLow == 0 {
+			t.Fatalf("no cross-shard placements (low->high %d, high->low %d); scenario does not exercise the boundary", lowHigh, highLow)
+		}
+	}
+	races := func(t *testing.T, cfg Config) {
+		probe := &abortProbe{}
+		runV3S2(t, cfg, probe)
+		if probe.aborts == 0 || probe.completes == 0 {
+			t.Fatalf("aborts=%d completes=%d; scenario does not race deaths against deliveries", probe.aborts, probe.completes)
+		}
+	}
+
 	cases := []struct {
 		name   string
 		cfg    Config
 		shards []int
+		verify func(t *testing.T, cfg Config)
 	}{
-		{"shards-over-slots", shardsOverSlots, []int{64, 256}},
-		{"boundary-straddle", straddle, []int{2, 4}},
-		{"death-vs-delivery", deathVsDelivery, []int{2, 8}},
+		{"shards-over-slots", shardsOverSlots, []int{64, 256}, nil},
+		{"boundary-straddle", straddle, []int{2, 4}, crossings},
+		{"death-vs-delivery", deathVsDelivery, []int{2, 8}, races},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -138,13 +186,31 @@ func TestWalkV3EdgeCases(t *testing.T) {
 					t.Errorf("S=%d digest = %#x, want %#x", shards, got, want)
 				}
 			}
+			if tc.verify != nil {
+				tc.verify(t, tc.cfg)
+			}
 		})
 	}
 }
 
+// runV3S2 runs cfg on the v3 engine at two shards with the probes
+// attached and returns the finished simulation.
+func runV3S2(t *testing.T, cfg Config, probes ...Probe) *Simulation {
+	t.Helper()
+	cfg.Walk = WalkV3
+	cfg.Shards = 2
+	cfg.Probes = append(cfg.Probes, probes...)
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Run()
+	return s
+}
+
 // TestWalkV3SlotStreams pins the v3 randomness seam: one stream per
 // population slot, derived from (seed, v3SlotStreamBase + slot),
-// disjoint from the shard scratch streams and the redundancy stream.
+// disjoint from the redundancy stream.
 func TestWalkV3SlotStreams(t *testing.T) {
 	cfg := digestConfig()
 	cfg.Walk = WalkV3
@@ -170,9 +236,9 @@ func TestWalkV3SlotStreams(t *testing.T) {
 }
 
 // TestWalkV3S1RunsShardedPath: v3 at S<=1 must still construct the
-// sharded scaffolding (warm phase, inclusion scan) so S=1 executes the
-// same code path as S=k — that is what makes the S=1 digest a valid
-// reference.
+// sharded scaffolding (one worker, one shard range over the whole
+// population) so S=1 executes the same code path as S=k — that is what
+// makes the S=1 digest a valid reference.
 func TestWalkV3S1RunsShardedPath(t *testing.T) {
 	cfg := digestConfig()
 	cfg.Walk = WalkV3
@@ -180,11 +246,11 @@ func TestWalkV3S1RunsShardedPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.v3 == nil || s.v3.n != 1 {
-		t.Fatalf("v3 worker count = %v, want 1", s.v3)
+	if s.v3 == nil || s.v3.n != 1 || len(s.v3.workers) != 1 {
+		t.Fatalf("v3 state = %+v, want one worker", s.v3)
 	}
-	if s.shards == nil || s.shards.n != 1 {
-		t.Fatalf("shard state = %+v, want n=1 scaffolding", s.shards)
+	if lo, hi := s.v3.shardRange(0); lo != 0 || hi != cfg.NumPeers {
+		t.Fatalf("single shard range = [%d,%d), want [0,%d)", lo, hi, cfg.NumPeers)
 	}
 }
 
@@ -197,9 +263,9 @@ func (impurePolicy) Name() string                                               
 func (impurePolicy) AcceptProb(selection.Context, selection.View, selection.View) float64 { return 1 }
 func (impurePolicy) Score(selection.Context, selection.View) float64                      { return 0 }
 
-// TestWalkConfigGuards: unknown walk modes and v3-unsupported options
-// fail validation with errors naming the offender; the default
-// normalises to v1.
+// TestWalkConfigGuards: unknown walk modes, v3-unsupported options and
+// sharding without v3 fail validation with errors naming the offender;
+// the default normalises to v1.
 func TestWalkConfigGuards(t *testing.T) {
 	base := digestConfig()
 
@@ -229,6 +295,25 @@ func TestWalkConfigGuards(t *testing.T) {
 	impure.Policy = impurePolicy{}
 	if _, err := impure.Validate(); err == nil || !strings.Contains(err.Error(), "pure") {
 		t.Errorf("v3+impure-policy error = %v, want rejection naming purity", err)
+	}
+
+	for _, walk := range []string{"", WalkV1} {
+		sharded := base
+		sharded.Walk = walk
+		sharded.Shards = 2
+		if _, err := sharded.Validate(); err == nil || !strings.Contains(err.Error(), "Shards") {
+			t.Errorf("Walk=%q Shards=2 error = %v, want rejection naming Shards", walk, err)
+		}
+		if _, err := New(sharded); err == nil {
+			t.Errorf("New accepted Walk=%q with Shards=2", walk)
+		}
+	}
+	for _, shards := range []int{0, 1} {
+		single := base
+		single.Shards = shards
+		if _, err := single.Validate(); err != nil {
+			t.Errorf("v1 Shards=%d unexpectedly rejected: %v", shards, err)
+		}
 	}
 
 	// The same impure policy is fine under v1.
