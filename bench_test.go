@@ -47,6 +47,26 @@ func benchConfig(b *testing.B) sim.Config {
 	return cfg
 }
 
+// runCampaign executes a campaign on the given number of workers.
+func runCampaign(b *testing.B, c experiments.Campaign, parallelism int) []experiments.Row {
+	b.Helper()
+	rows, err := experiments.Runner{Parallelism: parallelism}.Run(context.Background(), c)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rows
+}
+
+// thresholdCampaign builds the figure 1/2 sweep over thresholds.
+func thresholdCampaign(b *testing.B, cfg sim.Config, thresholds []int) experiments.Campaign {
+	b.Helper()
+	camp, err := experiments.ThresholdCampaign(cfg, thresholds)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return camp
+}
+
 // BenchmarkTableRepairCost regenerates the section 2.2.4 cost table
 // (T2 in DESIGN.md): the 77-minute worst-case repair and its
 // feasibility bounds.
@@ -71,10 +91,7 @@ func BenchmarkFig1RepairsByThreshold(b *testing.B) {
 	cfg := benchConfig(b)
 	thresholds := []int{132, 148, 164, 180} // the sweep's corners
 	for i := 0; i < b.N; i++ {
-		sweep, err := experiments.RunThresholdSweep(cfg, thresholds, 2, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
+		sweep := experiments.ThresholdSweepFromRows(runCampaign(b, thresholdCampaign(b, cfg, thresholds), 2))
 		if i == 0 {
 			for _, p := range sweep.Points {
 				b.Logf("threshold %d: repairs/1k = %.3g %.3g %.3g %.3g",
@@ -92,10 +109,7 @@ func BenchmarkFig2LossesByThreshold(b *testing.B) {
 	cfg := benchConfig(b)
 	thresholds := []int{132, 156, 180}
 	for i := 0; i < b.N; i++ {
-		sweep, err := experiments.RunThresholdSweep(cfg, thresholds, 2, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
+		sweep := experiments.ThresholdSweepFromRows(runCampaign(b, thresholdCampaign(b, cfg, thresholds), 2))
 		if i == 0 {
 			for _, p := range sweep.Points {
 				b.Logf("threshold %d: losses/1k = %.4g %.4g %.4g %.4g",
@@ -110,10 +124,7 @@ func BenchmarkFig2LossesByThreshold(b *testing.B) {
 func BenchmarkFig3ObserverRepairs(b *testing.B) {
 	cfg := benchConfig(b)
 	for i := 0; i < b.N; i++ {
-		focal, err := experiments.RunFocal(cfg, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
+		focal := experiments.FocalFromRow(runCampaign(b, experiments.FocalCampaign(cfg), 1)[0])
 		if i == 0 {
 			for j, name := range focal.ObserverNames {
 				b.Logf("observer %-9s cumulative repairs = %d", name, focal.ObserverCounts[j])
@@ -127,10 +138,7 @@ func BenchmarkFig3ObserverRepairs(b *testing.B) {
 func BenchmarkFig4CumulativeLosses(b *testing.B) {
 	cfg := benchConfig(b)
 	for i := 0; i < b.N; i++ {
-		focal, err := experiments.RunFocal(cfg, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
+		focal := experiments.FocalFromRow(runCampaign(b, experiments.FocalCampaign(cfg), 1)[0])
 		if i == 0 {
 			for c := metrics.Category(0); c < metrics.NumCategories; c++ {
 				_, last := focal.LossSeries[c].Last()
@@ -145,10 +153,8 @@ func BenchmarkAblationStrategies(b *testing.B) {
 	cfg := benchConfig(b)
 	cfg.Rounds = 4000
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunStrategyAblation(cfg, 2, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
+		camp := experiments.StrategyCampaign(cfg)
+		res := experiments.AblationFromRows(camp.Name, runCampaign(b, camp, 2))
 		if i == 0 {
 			for _, p := range res.Points {
 				b.Logf("%-20s repairs=%d losses=%d", p.Label, p.Repairs, p.Losses)
@@ -163,10 +169,8 @@ func BenchmarkAblationAvailabilityModel(b *testing.B) {
 	cfg := benchConfig(b)
 	cfg.Rounds = 4000
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunAvailabilityAblation(cfg, 2, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
+		camp := experiments.AvailabilityCampaign(cfg)
+		res := experiments.AblationFromRows(camp.Name, runCampaign(b, camp, 2))
 		if i == 0 {
 			for _, p := range res.Points {
 				b.Logf("%-10s repairs=%d losses=%d", p.Label, p.Repairs, p.Losses)
@@ -181,10 +185,8 @@ func BenchmarkAblationRepairDelay(b *testing.B) {
 	cfg := benchConfig(b)
 	cfg.Rounds = 4000
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunRepairDelayAblation(cfg, []int{0, 24}, 2, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
+		camp := experiments.RepairDelayCampaign(cfg, []int{0, 24})
+		res := experiments.AblationFromRows(camp.Name, runCampaign(b, camp, 2))
 		if i == 0 {
 			for _, p := range res.Points {
 				b.Logf("%-10s repairs=%d losses=%d", p.Label, p.Repairs, p.Losses)
@@ -199,10 +201,8 @@ func BenchmarkAblationHorizon(b *testing.B) {
 	cfg.Rounds = 4000
 	horizons := []int64{30 * churn.Day, 90 * churn.Day, 180 * churn.Day}
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunHorizonAblation(cfg, horizons, 2, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
+		camp := experiments.HorizonCampaign(cfg, horizons)
+		res := experiments.AblationFromRows(camp.Name, runCampaign(b, camp, 2))
 		if i == 0 {
 			for _, p := range res.Points {
 				b.Logf("%-8s repairs=%d losses=%d", p.Label, p.Repairs, p.Losses)

@@ -53,13 +53,12 @@ func FocalCampaign(cfg sim.Config) Campaign {
 	}}}
 }
 
-// setStrategySpec points a variant config at a strategy spec,
-// clearing every other strategy field: a base config's Policy or
-// Strategy must not leak into a campaign that sweeps the strategy
-// (Policy would silently win over StrategySpec in Validate).
+// setStrategySpec points a variant config at a strategy spec, clearing
+// Policy: a base config's Policy must not leak into a campaign that
+// sweeps the strategy (Policy would silently win over StrategySpec in
+// Validate).
 func setStrategySpec(c *sim.Config, spec string) {
 	c.Policy = nil
-	c.Strategy = nil
 	c.StrategySpec = spec
 }
 
@@ -340,7 +339,7 @@ func collectRows(ctx context.Context, r Runner, c Campaign, sink func(Event)) ([
 	return rows, nil
 }
 
-// progressSink adapts the legacy progress-callback style to the event
+// progressSink adapts Options.Progress's callback style to the event
 // stream: heartbeats pass through, completed rows are formatted by
 // rowMsg.
 func progressSink(progress func(string), rowMsg func(Row) string) func(Event) {
@@ -359,8 +358,7 @@ func progressSink(progress func(string), rowMsg func(Row) string) func(Event) {
 	}
 }
 
-// doneMessage formats the historical "<campaign> <variant> done" row
-// message.
+// doneMessage formats the "<campaign> <variant> done" row message.
 func doneMessage(campaign string) func(Row) string {
 	return func(row Row) string {
 		return fmt.Sprintf("%s %q done: %d repairs, %d losses",
@@ -368,8 +366,7 @@ func doneMessage(campaign string) func(Row) string {
 	}
 }
 
-// thresholdDoneMessage formats the historical threshold-sweep row
-// message.
+// thresholdDoneMessage formats the threshold-sweep row message.
 func thresholdDoneMessage(row Row) string {
 	return fmt.Sprintf("threshold %d done: %d repairs, %d losses",
 		row.Config.RepairThreshold, row.Result.Collector.TotalRepairs(), row.Result.Collector.TotalLosses())

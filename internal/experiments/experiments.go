@@ -12,16 +12,11 @@
 // (ThresholdCampaign, FocalCampaign, StrategyCampaign, ...) plus row
 // converters (ThresholdSweepFromRows, ...) that produce plot-ready
 // results with TSV emitters; new scenario sweeps should follow that
-// pattern rather than hand-rolling drivers.
-//
-// The RunThresholdSweep/RunFocal/Run*Ablation functions and the
-// string-id registry's Run are retained as thin compatibility wrappers
-// over the Runner; prefer RunCtx or Runner.Run directly in new code so
-// campaigns inherit cancellation and streaming for free.
+// pattern rather than hand-rolling drivers. RunCtx runs a figure or
+// ablation by its string id and writes its data files.
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -99,26 +94,6 @@ type ThresholdSweep struct {
 	Points []ThresholdPoint
 }
 
-// RunThresholdSweep executes one simulation per threshold. Seeds are
-// derived from cfg.Seed and the threshold so points are independently
-// reproducible. progress (optional) receives one message per finished
-// point.
-//
-// Deprecated: compatibility wrapper. Use ThresholdCampaign with a
-// Runner (and ThresholdSweepFromRows) for cancellation and typed
-// events.
-func RunThresholdSweep(cfg sim.Config, thresholds []int, parallelism int, progress func(string)) (*ThresholdSweep, error) {
-	camp, err := ThresholdCampaign(cfg, thresholds)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := collectRows(context.Background(), Runner{Parallelism: parallelism}, camp, progressSink(progress, thresholdDoneMessage))
-	if err != nil {
-		return nil, err
-	}
-	return ThresholdSweepFromRows(rows), nil
-}
-
 // WriteRepairTSV emits figure 1: threshold vs repair rate per category.
 func (s *ThresholdSweep) WriteRepairTSV(w io.Writer) error {
 	return s.writeTSV(w, "repairs_per_1000_peer_rounds", func(p ThresholdPoint, c metrics.Category) float64 {
@@ -176,19 +151,6 @@ type FocalResult struct {
 	Repairs        int64
 	Losses         int64
 	Deaths         int64
-}
-
-// RunFocal executes the threshold-148 run with the paper's observers.
-//
-// Deprecated: compatibility wrapper. Use FocalCampaign with a Runner
-// (and FocalFromRow) for cancellation and typed events.
-func RunFocal(cfg sim.Config, progress func(string)) (*FocalResult, error) {
-	r := Runner{Parallelism: 1, RoundEvents: progress != nil}
-	rows, err := collectRows(context.Background(), r, FocalCampaign(cfg), progressSink(progress, nil))
-	if err != nil {
-		return nil, err
-	}
-	return FocalFromRow(rows[0]), nil
 }
 
 // WriteObserverTSV emits figure 3: cumulative repairs per observer over
@@ -263,47 +225,6 @@ type AblationPoint struct {
 type AblationResult struct {
 	Name   string
 	Points []AblationPoint
-}
-
-// runAblationCampaign executes an ablation campaign with the legacy
-// progress-callback interface.
-func runAblationCampaign(c Campaign, parallelism int, progress func(string)) (*AblationResult, error) {
-	rows, err := collectRows(context.Background(), Runner{Parallelism: parallelism}, c, progressSink(progress, doneMessage(c.Name)))
-	if err != nil {
-		return nil, err
-	}
-	return AblationFromRows(c.Name, rows), nil
-}
-
-// RunStrategyAblation compares partner-selection strategies (A1 in
-// DESIGN.md) at the focal threshold.
-//
-// Deprecated: compatibility wrapper over StrategyCampaign + Runner.
-func RunStrategyAblation(cfg sim.Config, parallelism int, progress func(string)) (*AblationResult, error) {
-	return runAblationCampaign(StrategyCampaign(cfg), parallelism, progress)
-}
-
-// RunAvailabilityAblation compares availability models (A2).
-//
-// Deprecated: compatibility wrapper over AvailabilityCampaign + Runner.
-func RunAvailabilityAblation(cfg sim.Config, parallelism int, progress func(string)) (*AblationResult, error) {
-	return runAblationCampaign(AvailabilityCampaign(cfg), parallelism, progress)
-}
-
-// RunRepairDelayAblation sweeps the repair-delay knob (the paper's
-// future-work item: hold a triggered repair so temporarily offline
-// partners can return and cancel it).
-//
-// Deprecated: compatibility wrapper over RepairDelayCampaign + Runner.
-func RunRepairDelayAblation(cfg sim.Config, delays []int, parallelism int, progress func(string)) (*AblationResult, error) {
-	return runAblationCampaign(RepairDelayCampaign(cfg, delays), parallelism, progress)
-}
-
-// RunHorizonAblation sweeps the acceptance horizon L (A3).
-//
-// Deprecated: compatibility wrapper over HorizonCampaign + Runner.
-func RunHorizonAblation(cfg sim.Config, horizons []int64, parallelism int, progress func(string)) (*AblationResult, error) {
-	return runAblationCampaign(HorizonCampaign(cfg, horizons), parallelism, progress)
 }
 
 // WriteTSV emits the ablation comparison.

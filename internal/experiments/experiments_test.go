@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -59,9 +61,33 @@ func TestPaperThresholds(t *testing.T) {
 	}
 }
 
+// runSweep executes a threshold sweep through ThresholdCampaign and
+// the Runner.
+func runSweep(cfg sim.Config, thresholds []int, parallelism int) (*ThresholdSweep, error) {
+	camp, err := ThresholdCampaign(cfg, thresholds)
+	if err != nil {
+		return nil, err
+	}
+	rows, err := Runner{Parallelism: parallelism}.Run(context.Background(), camp)
+	if err != nil {
+		return nil, err
+	}
+	return ThresholdSweepFromRows(rows), nil
+}
+
+// ablate executes an ablation campaign on two workers.
+func ablate(t *testing.T, c Campaign) *AblationResult {
+	t.Helper()
+	rows, err := Runner{Parallelism: 2}.Run(context.Background(), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return AblationFromRows(c.Name, rows)
+}
+
 func TestRunThresholdSweep(t *testing.T) {
 	cfg := microConfig()
-	sweep, err := RunThresholdSweep(cfg, []int{9, 11, 13}, 2, nil)
+	sweep, err := runSweep(cfg, []int{9, 11, 13}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,22 +117,22 @@ func TestRunThresholdSweep(t *testing.T) {
 			t.Fatalf("header wrong: %s", lines[1])
 		}
 	}
-	if _, err := RunThresholdSweep(cfg, nil, 1, nil); err == nil {
+	if _, err := runSweep(cfg, nil, 1); err == nil {
 		t.Fatal("empty thresholds accepted")
 	}
 	// Invalid threshold propagates the sim error.
-	if _, err := RunThresholdSweep(cfg, []int{999}, 1, nil); err == nil {
+	if _, err := runSweep(cfg, []int{999}, 1); err == nil {
 		t.Fatal("invalid threshold accepted")
 	}
 }
 
 func TestSweepDeterminism(t *testing.T) {
 	cfg := microConfig()
-	a, err := RunThresholdSweep(cfg, []int{10, 12}, 2, nil)
+	a, err := runSweep(cfg, []int{10, 12}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunThresholdSweep(cfg, []int{10, 12}, 1, nil) // different parallelism
+	b, err := runSweep(cfg, []int{10, 12}, 1) // different parallelism
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,16 +153,13 @@ func TestRunFocal(t *testing.T) {
 	cfg.Quota = 384
 	cfg.NumPeers = 600
 	cfg.Rounds = 240
-	var msgs []string
-	focal, err := RunFocal(cfg, func(m string) { msgs = append(msgs, m) })
+	rows, err := Runner{Parallelism: 1}.Run(context.Background(), FocalCampaign(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
+	focal := FocalFromRow(rows[0])
 	if len(focal.ObserverNames) != 5 {
 		t.Fatalf("observers = %v", focal.ObserverNames)
-	}
-	if len(msgs) == 0 {
-		t.Fatal("no progress messages")
 	}
 	var obs, loss strings.Builder
 	if err := focal.WriteObserverTSV(&obs); err != nil {
@@ -153,30 +176,38 @@ func TestRunFocal(t *testing.T) {
 	if len(lines) != 2+10 {
 		t.Fatalf("loss TSV has %d lines", len(lines))
 	}
+
+	// The registry's fig3 run streams round heartbeats to
+	// Options.Progress. The smoke-scale run is cancelled at the first
+	// message: only the plumbing is under test here.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var msgs []string
+	_, err = RunCtx(ctx, "fig3", Options{Scale: ScaleSmoke, Progress: func(m string) {
+		msgs = append(msgs, m)
+		cancel()
+	}})
+	if len(msgs) == 0 {
+		t.Fatalf("no progress messages (err = %v)", err)
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled fig3 run returned %v, want context.Canceled", err)
+	}
 }
 
 func TestAblations(t *testing.T) {
 	cfg := microConfig()
 	cfg.Rounds = 200
-	strat, err := RunStrategyAblation(cfg, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	strat := ablate(t, StrategyCampaign(cfg))
 	if len(strat.Points) != len(selection.Names()) {
 		t.Fatalf("strategy variants = %d, want one per registered spec (%d)",
 			len(strat.Points), len(selection.Names()))
 	}
-	avail, err := RunAvailabilityAblation(cfg, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	avail := ablate(t, AvailabilityCampaign(cfg))
 	if len(avail.Points) != 2 {
 		t.Fatalf("availability variants = %d", len(avail.Points))
 	}
-	horizon, err := RunHorizonAblation(cfg, []int64{24, 48, 96}, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	horizon := ablate(t, HorizonCampaign(cfg, []int64{24, 48, 96}))
 	if len(horizon.Points) != 3 {
 		t.Fatalf("horizon variants = %d", len(horizon.Points))
 	}
@@ -194,7 +225,7 @@ func TestAblations(t *testing.T) {
 
 func TestRegistryCostModel(t *testing.T) {
 	dir := t.TempDir()
-	sums, err := Run("costmodel", Options{OutDir: dir})
+	sums, err := RunCtx(context.Background(), "costmodel", Options{OutDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +241,7 @@ func TestRegistryCostModel(t *testing.T) {
 }
 
 func TestRegistryUnknown(t *testing.T) {
-	if _, err := Run("nope", Options{}); err == nil {
+	if _, err := RunCtx(context.Background(), "nope", Options{}); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 	if len(Names()) == 0 {
@@ -222,7 +253,7 @@ func TestCategoriesCoverMicroRun(t *testing.T) {
 	// Sanity: the micro run is too short for elders; rates must come
 	// back zero, not NaN.
 	cfg := microConfig()
-	sweep, err := RunThresholdSweep(cfg, []int{10}, 1, nil)
+	sweep, err := runSweep(cfg, []int{10}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -180,14 +180,6 @@ func Names() []string {
 	return []string{"fig1", "fig2", "fig3", "fig4", "costmodel", "ablation-strategy", "ablation-availability", "ablation-horizon", "ablation-delay", "ablation-estimator", "diurnal", "blackout", "replay", "transfer-baseline", "flashcrowd", "uplink-sweep", "fixed-vs-adaptive", "all"}
 }
 
-// Run executes an experiment by id and writes its data files.
-//
-// Deprecated: compatibility wrapper over RunCtx with a background
-// context; it cannot be cancelled.
-func Run(name string, opts Options) ([]Summary, error) {
-	return RunCtx(context.Background(), name, opts)
-}
-
 // RunCtx executes an experiment by id over the Runner, streaming
 // events to opts.Events/opts.Progress and honouring ctx cancellation,
 // and writes the experiment's data files.

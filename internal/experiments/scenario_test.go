@@ -116,7 +116,7 @@ func TestRegistryReplayEndToEnd(t *testing.T) {
 	if err := churn.WriteTraceFile(path, recordTrace(t, 300)); err != nil {
 		t.Fatal(err)
 	}
-	sums, err := Run("replay", Options{OutDir: dir, TracePath: path})
+	sums, err := RunCtx(context.Background(), "replay", Options{OutDir: dir, TracePath: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,10 +132,10 @@ func TestRegistryReplayEndToEnd(t *testing.T) {
 }
 
 func TestRegistryReplayNeedsTrace(t *testing.T) {
-	if _, err := Run("replay", Options{}); err == nil {
+	if _, err := RunCtx(context.Background(), "replay", Options{}); err == nil {
 		t.Fatal("replay without -trace accepted")
 	}
-	if _, err := Run("replay", Options{TracePath: "/does/not/exist.csv"}); err == nil {
+	if _, err := RunCtx(context.Background(), "replay", Options{TracePath: "/does/not/exist.csv"}); err == nil {
 		t.Fatal("replay with missing trace accepted")
 	}
 }
@@ -146,70 +146,6 @@ func TestRegistryScenarioNames(t *testing.T) {
 		if !strings.Contains(names, want) {
 			t.Fatalf("Names() = %v missing %q", Names(), want)
 		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Deprecated wrapper coverage (kept from PR 1): the thin compatibility
-// shims must return exactly what the campaign path returns.
-
-func TestWrapperThresholdSweepAgrees(t *testing.T) {
-	cfg := microConfig()
-	old, err := RunThresholdSweep(cfg, []int{9, 13}, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	camp, err := ThresholdCampaign(cfg, []int{9, 13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := Runner{Parallelism: 2}.Run(context.Background(), camp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	neu := ThresholdSweepFromRows(rows)
-	if !reflect.DeepEqual(old.Points, neu.Points) {
-		t.Fatalf("wrapper sweep differs:\n%+v\n%+v", old.Points, neu.Points)
-	}
-}
-
-func TestWrapperFocalAgrees(t *testing.T) {
-	// The focal campaign pins threshold 148, which needs the paper's
-	// archive shape.
-	cfg := microConfig()
-	cfg.TotalBlocks = 256
-	cfg.DataBlocks = 128
-	cfg.Quota = 384
-	cfg.NumPeers = 600
-	cfg.Rounds = 150
-	old, err := RunFocal(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := Runner{Parallelism: 1}.Run(context.Background(), FocalCampaign(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	neu := FocalFromRow(rows[0])
-	if old.Repairs != neu.Repairs || old.Losses != neu.Losses || old.Deaths != neu.Deaths ||
-		!reflect.DeepEqual(old.ObserverCounts, neu.ObserverCounts) {
-		t.Fatalf("wrapper focal differs:\n%+v\n%+v", old, neu)
-	}
-}
-
-func TestWrapperRegistryRunAgrees(t *testing.T) {
-	// Run is a background-context shim over RunCtx; both must produce
-	// the same summary text for a deterministic experiment.
-	a, err := Run("costmodel", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunCtx(context.Background(), "costmodel", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("Run != RunCtx:\n%+v\n%+v", a, b)
 	}
 }
 
@@ -269,10 +205,10 @@ func (basePolicyLeakProbe) AcceptProb(selection.Context, selection.View, selecti
 func (basePolicyLeakProbe) Score(selection.Context, selection.View) float64 { return 0 }
 
 func TestStrategySweepsIgnoreBaseStrategyFields(t *testing.T) {
-	// A base config carrying a Policy (or legacy Strategy) must not
-	// override the per-variant specs of strategy-sweeping campaigns:
-	// Validate resolves Policy first, so a leak would silently run one
-	// strategy under every label.
+	// A base config carrying a Policy must not override the per-variant
+	// specs of strategy-sweeping campaigns: Validate resolves Policy
+	// first, so a leak would silently run one strategy under every
+	// label.
 	cfg := microConfig()
 	cfg.Rounds = 150
 	builds := map[string]func(c sim.Config) Campaign{

@@ -38,6 +38,16 @@ func testParams() Params {
 	}
 }
 
+// mustPolicy resolves a selection spec or fails the test.
+func mustPolicy(t testing.TB, spec string) selection.Policy {
+	t.Helper()
+	pol, err := selection.Parse(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pol
+}
+
 // harness builds a maintainer over peers slots with equal ages.
 func harness(t *testing.T, peers int, params Params) (*Maintainer, *overlay.Ledger, *overlay.Table, *rng.Rand) {
 	t.Helper()
@@ -45,7 +55,7 @@ func harness(t *testing.T, peers int, params Params) (*Maintainer, *overlay.Ledg
 	led.SetStrict(true)
 	tab := overlay.NewTable(peers)
 	env := &fakeEnv{ages: make([]int64, peers), n: peers}
-	m := New(params, led, tab, selection.Adapt(selection.AgeBased{L: 100}), env)
+	m := New(params, led, tab, mustPolicy(t, "age:L=100"), env)
 	return m, led, tab, rng.New(7)
 }
 
@@ -352,7 +362,7 @@ func TestOldestFirstSelection(t *testing.T) {
 	}
 	env := &fakeEnv{ages: ages, n: 40}
 	p := testParams()
-	m := New(p, led, tab, selection.Adapt(selection.AgeBased{L: 100}), env)
+	m := New(p, led, tab, mustPolicy(t, "age:L=100"), env)
 	r := rng.New(3)
 	// Owner is peer 0 (age 0). Elders accept newcomers with probability
 	// 1/L = 1/100, so sampling needs patience; pool building handles it.
@@ -382,8 +392,9 @@ func TestOldestFirstSelection(t *testing.T) {
 		t.Log("warning: no elders chosen; acceptable only if none entered the pool")
 	}
 	// Stronger check: rank a synthetic pool directly.
-	if (selection.AgeBased{L: 100}).Score(selection.PeerInfo{Age: 100}) <=
-		(selection.AgeBased{L: 100}).Score(selection.PeerInfo{Age: 0}) {
+	age := mustPolicy(t, "age:L=100")
+	if age.Score(selection.Context{}, selection.View{Observed: selection.Observed{Age: 100}}) <=
+		age.Score(selection.Context{}, selection.View{Observed: selection.Observed{Age: 0}}) {
 		t.Fatal("age strategy must rank elders above newcomers")
 	}
 }
@@ -395,7 +406,7 @@ func TestQuotaRespected(t *testing.T) {
 	env := &fakeEnv{ages: make([]int64, 10), n: 10}
 	p := Params{TotalBlocks: 4, DataBlocks: 2, RepairThreshold: 3, PoolSamplePerRound: 64,
 		DropOffline: true, CancelOnRecover: true}
-	m := New(p, led, tab, selection.Adapt(selection.Random{}), env)
+	m := New(p, led, tab, mustPolicy(t, "random"), env)
 	r := rng.New(5)
 	// 4 owners each place 4 blocks: demand 16 <= capacity 9*2=18 per
 	// owner's view; complete all.
@@ -424,7 +435,7 @@ func TestUnmeteredObserverBypassesQuota(t *testing.T) {
 	env := &fakeEnv{ages: make([]int64, 10), n: 9} // observers sample only peers 0..8
 	p := Params{TotalBlocks: 4, DataBlocks: 2, RepairThreshold: 3, PoolSamplePerRound: 64,
 		DropOffline: true, CancelOnRecover: true}
-	m := New(p, led, tab, selection.Adapt(selection.Random{}), env)
+	m := New(p, led, tab, mustPolicy(t, "random"), env)
 	m.SetUnmetered(9, true)
 	r := rng.New(6)
 	// Saturate every host's quota with peer 0's backup... quota 1 means
@@ -538,7 +549,7 @@ func TestNewPanicsOnBadParams(t *testing.T) {
 			t.Fatal("New with invalid params must panic")
 		}
 	}()
-	New(bad, led, tab, selection.Adapt(selection.Random{}), env)
+	New(bad, led, tab, mustPolicy(t, "random"), env)
 }
 
 func TestNewPanicsOnSizeMismatch(t *testing.T) {
@@ -550,5 +561,5 @@ func TestNewPanicsOnSizeMismatch(t *testing.T) {
 			t.Fatal("New with mismatched sizes must panic")
 		}
 	}()
-	New(testParams(), led, tab, selection.Adapt(selection.Random{}), env)
+	New(testParams(), led, tab, mustPolicy(t, "random"), env)
 }

@@ -5,7 +5,6 @@ import (
 
 	"p2pbackup/internal/overlay"
 	"p2pbackup/internal/rng"
-	"p2pbackup/internal/selection"
 )
 
 // TestApplyPlanUnmeteredOwnerIgnoresQuota drives the plan/apply pair
@@ -20,7 +19,7 @@ func TestApplyPlanUnmeteredOwnerIgnoresQuota(t *testing.T) {
 	env := &fakeEnv{ages: make([]int64, peers), n: 9} // observers sample only peers 0..8
 	p := Params{TotalBlocks: 4, DataBlocks: 2, RepairThreshold: 3, PoolSamplePerRound: 64,
 		DropOffline: true, CancelOnRecover: true}
-	m := New(p, led, tab, selection.Adapt(selection.Random{}), env)
+	m := New(p, led, tab, mustPolicy(t, "random"), env)
 	m.SetUnmetered(9, true)
 
 	// Fill every sampleable host to its quota of one block.

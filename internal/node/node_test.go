@@ -33,6 +33,16 @@ func fastIdentity(t *testing.T) *backup.Identity {
 	return &backup.Identity{Private: key}
 }
 
+// mustPolicy resolves a selection spec or fails the test.
+func mustPolicy(t *testing.T, spec string) selection.Policy {
+	t.Helper()
+	pol, err := selection.Parse(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pol
+}
+
 func newCluster(t *testing.T, n int, params backup.Params) *cluster {
 	t.Helper()
 	c := &cluster{
@@ -52,14 +62,14 @@ func newCluster(t *testing.T, n int, params backup.Params) *cluster {
 			Directory:       c.dir,
 			Params:          params,
 			RepairThreshold: 6,
-			Strategy:        selection.Random{}, // deterministic acceptance for tests
+			Policy:          mustPolicy(t, "random"), // deterministic acceptance for tests
 			Identity:        fastIdentity(t),
 			Seed:            uint64(i + 1),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.dir.Register(name, selection.PeerInfo{Age: age})
+		c.dir.Register(name, age)
 		c.nodes = append(c.nodes, nd)
 	}
 	t.Cleanup(func() {
@@ -299,7 +309,7 @@ func TestAgeBasedPlacementPrefersElders(t *testing.T) {
 		Store:     storage.NewMemStore(0),
 		Directory: dir,
 		Params:    smallParams,
-		Strategy:  selection.AgeBased{L: 10 * 7 * 24}, // cap at 10 weeks
+		Policy:    mustPolicy(t, "age:L=1680"), // cap at 10 weeks
 		Identity:  fastIdentity(t),
 		Seed:      99,
 	})
@@ -307,7 +317,7 @@ func TestAgeBasedPlacementPrefersElders(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer owner.Close()
-	dir.Register("owner", selection.PeerInfo{Age: 0})
+	dir.Register("owner", 0)
 	idx, err := owner.Backup(testFiles("elders"), "")
 	if err != nil {
 		t.Fatal(err)
@@ -316,9 +326,9 @@ func TestAgeBasedPlacementPrefersElders(t *testing.T) {
 	// of age is capped; peers 10..19 all tie at the cap).
 	youngest := int64(1 << 62)
 	for _, holder := range owner.placements[idx] {
-		info, _ := dir.Info(holder)
-		if info.Age < youngest {
-			youngest = info.Age
+		age, _ := dir.Age(holder)
+		if age < youngest {
+			youngest = age
 		}
 	}
 	// Acceptance is probabilistic (elders decline newborns often), so
@@ -366,20 +376,65 @@ func TestValidationErrors(t *testing.T) {
 
 func TestDirectory(t *testing.T) {
 	d := NewDirectory()
-	d.Register("a", selection.PeerInfo{Age: 1})
-	d.Register("b", selection.PeerInfo{Age: 2})
+	d.Register("a", 1)
+	d.Register("b", 2)
 	if d.Len() != 2 {
 		t.Fatalf("Len = %d", d.Len())
 	}
-	if info, ok := d.Info("a"); !ok || info.Age != 1 {
-		t.Fatal("Info wrong")
+	if age, ok := d.Age("a"); !ok || age != 1 {
+		t.Fatal("Age wrong")
 	}
 	names := d.Names()
 	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
 		t.Fatalf("Names = %v", names)
 	}
 	d.Remove("a")
-	if _, ok := d.Info("a"); ok {
+	if _, ok := d.Age("a"); ok {
 		t.Fatal("removed peer still present")
+	}
+}
+
+// TestUnregisteredRequesterIsANewcomer: a StoreBlock from a peer the
+// directory does not know is judged as observed age 0, so an elder
+// host under the age policy accepts it at the same 1/L floor as a
+// registered newborn: sometimes, never always.
+func TestUnregisteredRequesterIsANewcomer(t *testing.T) {
+	const L = 4 // floor 1/L = 1/4: both outcomes show up in a few hundred calls
+	tr := p2pnet.NewInMemTransport(3)
+	dir := NewDirectory()
+	host, err := New(Config{
+		Name:      "host",
+		Age:       10 * L,
+		Transport: tr,
+		Store:     storage.NewMemStore(0),
+		Directory: dir,
+		Params:    smallParams,
+		Policy:    mustPolicy(t, fmt.Sprintf("age:L=%d", L)),
+		Identity:  fastIdentity(t),
+		Seed:      5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer host.Close()
+	dir.Register("host", 10*L)
+	dir.Register("newborn", 0)
+
+	const calls = 400
+	for _, from := range []string{"newborn", "stranger"} {
+		accepted := 0
+		for i := 0; i < calls; i++ {
+			data := []byte(fmt.Sprintf("%s-%d", from, i))
+			resp, err := tr.Call("host", p2pnet.StoreBlock{From: from, Key: storage.IDOf(data), Data: data})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sr, ok := resp.(p2pnet.StoreResult); ok && sr.OK {
+				accepted++
+			}
+		}
+		if accepted == 0 || accepted == calls {
+			t.Errorf("%s: %d of %d stores accepted, want the 1/L floor (~%d)", from, accepted, calls, calls/L)
+		}
 	}
 }

@@ -1,12 +1,12 @@
 package selection
 
-// Native Policy implementations. The five ports of the legacy
-// strategies read only the knowledge class they are entitled to —
-// age-based, random and youngest-first touch View.Observed exclusively,
-// the two oracles read View.Oracle — making the epistemic status of
-// every baseline explicit in code rather than in comments. The
-// estimator-backed and monitored-availability policies are the new
-// implementable strategies the redesign exists for: they rank by a
+// Native Policy implementations. The five baselines read only the
+// knowledge class they are entitled to — age-based, random and
+// youngest-first touch View.Observed exclusively, the two oracles read
+// View.Oracle — making the epistemic status of every baseline explicit
+// in code rather than in comments. The estimator-backed and
+// monitored-availability policies are the implementable strategies
+// the observable/oracle split exists for: they rank by a
 // lifetime.Estimator applied to observed age (Dell'Amico et al.;
 // Skowron & Rzadca rank peers the same way) or by the monitored
 // availability window the paper's secure-monitoring substrate provides.
@@ -18,11 +18,11 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Observable baselines (ports of the legacy strategies)
+// Observable baselines
 
-// agePolicy is the paper's strategy on the new surface: probabilistic
-// acceptance via the acceptance function with horizon L, ranking by
-// observed age capped at L.
+// agePolicy is the paper's strategy: probabilistic acceptance via the
+// acceptance function with horizon L, ranking by observed age capped
+// at L.
 type agePolicy struct{ L int64 }
 
 func (a agePolicy) Name() string { return fmt.Sprintf("age(L=%d)", a.L) }
@@ -109,7 +109,7 @@ func (e EstimatorRanked) Name() string { return e.Label }
 // AcceptProb implements Policy: always accept.
 func (e EstimatorRanked) AcceptProb(Context, View, View) float64 { return 1 }
 
-// AlwaysAccepts declares the constant acceptance for Agree's fast path.
+// AlwaysAccepts declares the constant acceptance for AgreeCtx's fast path.
 func (e EstimatorRanked) AlwaysAccepts() bool { return true }
 
 // PureScore declares Score a pure function of (Context, View): every
@@ -150,7 +150,7 @@ func (m MonitoredAvailability) Name() string {
 // AcceptProb implements Policy: always accept.
 func (m MonitoredAvailability) AcceptProb(Context, View, View) float64 { return 1 }
 
-// AlwaysAccepts declares the constant acceptance for Agree's fast path.
+// AlwaysAccepts declares the constant acceptance for AgreeCtx's fast path.
 func (m MonitoredAvailability) AlwaysAccepts() bool { return true }
 
 // PureScore declares Score a pure function of (Context, View). The

@@ -109,20 +109,13 @@ type Config struct {
 	Avail churn.AvailabilityModel
 	// Policy picks partners on the observable/oracle knowledge split.
 	// Default: the paper's age-based rule with L = AcceptHorizon.
-	// Takes precedence over StrategySpec and Strategy.
+	// Takes precedence over StrategySpec.
 	Policy selection.Policy
 	// StrategySpec names the partner-selection policy as a spec string
 	// ("age:L=2160", "estimator:pareto", "monitored-availability:720";
 	// see selection.Parse). Specs omitting a horizon default to
-	// AcceptHorizon. Ignored when Policy is set; mutually exclusive
-	// with Strategy.
+	// AcceptHorizon. Ignored when Policy is set.
 	StrategySpec string
-	// Strategy picks partners through the legacy flat-PeerInfo
-	// interface.
-	//
-	// Deprecated: set Policy or StrategySpec; a non-nil Strategy is
-	// lifted with selection.Adapt.
-	Strategy selection.Strategy
 
 	// DropOffline: repairs abandon currently offline partners (default
 	// true; see DESIGN.md section 4).
@@ -247,18 +240,11 @@ func (c Config) Validate() (Config, error) {
 		c.Avail = churn.DefaultSessionModel()
 	}
 	if c.Policy == nil {
-		switch {
-		case c.Strategy != nil && c.StrategySpec != "":
-			return c, fmt.Errorf("sim: Strategy and StrategySpec are mutually exclusive (set one)")
-		case c.Strategy != nil:
-			c.Policy = selection.Adapt(c.Strategy)
-		default:
-			pol, err := selection.ParseWith(c.StrategySpec, selection.Defaults{Horizon: c.AcceptHorizon})
-			if err != nil {
-				return c, fmt.Errorf("sim: %w", err)
-			}
-			c.Policy = pol
+		pol, err := selection.ParseWith(c.StrategySpec, selection.Defaults{Horizon: c.AcceptHorizon})
+		if err != nil {
+			return c, fmt.Errorf("sim: %w", err)
 		}
+		c.Policy = pol
 	}
 	if c.SampleEvery <= 0 {
 		c.SampleEvery = churn.Day
@@ -320,9 +306,6 @@ func (c Config) Validate() (Config, error) {
 		// Guard against silent mode drift: every option the v3 path does
 		// not support is rejected by name rather than silently falling
 		// back to v1 semantics.
-		if c.Strategy != nil {
-			return c, fmt.Errorf("sim: Walk = %q does not support the deprecated Strategy option (set Policy or StrategySpec)", WalkV3)
-		}
 		if !selection.HasPureScore(c.Policy) {
 			return c, fmt.Errorf("sim: Walk = %q requires a policy with a pure Score (selection.HasPureScore); the shard-local planner evaluates scores concurrently", WalkV3)
 		}

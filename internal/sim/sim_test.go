@@ -415,36 +415,6 @@ func TestStrategySwap(t *testing.T) {
 	}
 }
 
-func TestStrategySwapLegacyByName(t *testing.T) {
-	// The deprecated ByName adapters must still drive the engine
-	// through Config.Strategy. Note that Adapt unwraps ByName's
-	// round-tripped policies, so monitored-availability here still
-	// reaches the engine's monitoring substrate — the no-history
-	// fallback only applies to Strategy implementations consuming
-	// PeerInfo directly (e.g. the live node's directory).
-	for _, name := range []string{"age", "random", "monitored-availability"} {
-		strat, err := selection.ByName(name, 48)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := smallConfig()
-		cfg.Rounds = 60
-		cfg.NumPeers = 60
-		cfg.TotalBlocks = 8
-		cfg.DataBlocks = 4
-		cfg.RepairThreshold = 5
-		cfg.Quota = 24
-		cfg.Strategy = strat
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if res := s.Run(); res.FinalIncluded == 0 {
-			t.Fatalf("%s: nobody included", name)
-		}
-	}
-}
-
 func TestConfigStrategyResolution(t *testing.T) {
 	cfg := smallConfig()
 	// Default: the paper's age policy at the config's horizon.
@@ -466,16 +436,12 @@ func TestConfigStrategyResolution(t *testing.T) {
 	if _, err = cfg.Validate(); err == nil {
 		t.Fatal("bad spec accepted")
 	}
-	// Strategy and StrategySpec are mutually exclusive.
-	cfg.StrategySpec = "age"
-	cfg.Strategy = selection.AgeBased{L: 9}
-	if _, err = cfg.Validate(); err == nil {
-		t.Fatal("Strategy+StrategySpec accepted")
+	// An explicit Policy takes precedence over StrategySpec.
+	if cfg.Policy, err = selection.Parse("random"); err != nil {
+		t.Fatal(err)
 	}
-	// Legacy Strategy alone is lifted.
-	cfg.StrategySpec = ""
-	if v, err = cfg.Validate(); err != nil || v.Policy.Name() != "age(L=9)" {
-		t.Fatalf("adapted policy = %v (%v)", v.Policy, err)
+	if v, err = cfg.Validate(); err != nil || v.Policy.Name() != "random" {
+		t.Fatalf("explicit policy = %v (%v)", v.Policy, err)
 	}
 }
 

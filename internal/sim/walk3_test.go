@@ -283,13 +283,6 @@ func TestWalkConfigGuards(t *testing.T) {
 		t.Errorf("Walk=v2 error = %v, want unknown-mode error naming it", err)
 	}
 
-	legacy := base
-	legacy.Walk = WalkV3
-	legacy.Strategy = selection.AgeBased{L: 100}
-	if _, err := legacy.Validate(); err == nil || !strings.Contains(err.Error(), "Strategy") {
-		t.Errorf("v3+Strategy error = %v, want rejection naming Strategy", err)
-	}
-
 	impure := base
 	impure.Walk = WalkV3
 	impure.Policy = impurePolicy{}
