@@ -20,6 +20,7 @@ import (
 	"p2pbackup/internal/maintenance"
 	"p2pbackup/internal/metrics"
 	"p2pbackup/internal/monitor"
+	"p2pbackup/internal/redundancy"
 	"p2pbackup/internal/rng"
 	"p2pbackup/internal/selection"
 	"p2pbackup/internal/sim"
@@ -333,6 +334,35 @@ func BenchmarkAdaptiveChurnRound(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkAdaptiveTarget measures the adaptive policy's sizing kernel
+// alone: one Target evaluation of the bound default policy at the
+// paper's shape (k = 128, k' = 148, n = 256) for a full-size archive,
+// with the observed availability cycling over 0.70-0.95, the range the
+// smoke populations monitor. Each call is a certified binary search
+// over n(t) in [k', n], a handful of Durability sums over the
+// log-factorial table; it must not allocate.
+func BenchmarkAdaptiveTarget(b *testing.B) {
+	def, err := redundancy.Parse("adaptive")
+	if err != nil {
+		b.Fatal(err)
+	}
+	pol, err := def.Bind(128, 148, 256)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var ps [26]float64
+	for i := range ps {
+		ps[i] = 0.70 + 0.01*float64(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkTarget = pol.Target(redundancy.Observation{Current: 256, DataBlocks: 128, Availability: ps[i%len(ps)]})
+	}
+}
+
+var sinkTarget int
 
 // BenchmarkWalkV3ChurnRound measures the v3 engine (shard-local walk +
 // deterministic merge, -walk=v3) across shard counts against the

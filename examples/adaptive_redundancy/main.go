@@ -73,13 +73,22 @@ func main() {
 
 	// The binomial estimate behind every adaptive decision, at the
 	// paper's shape: how many blocks must an archive hold so that at
-	// least k' = 148 stay visible with five-nines probability?
+	// least k' = 148 stay visible with five-nines probability? An
+	// archive observed at Current = Min = k' is never shrunk, so the
+	// bound default policy's Target is exactly that sizing answer.
+	def, err := redundancy.Parse("adaptive")
+	if err != nil {
+		log.Fatal(err)
+	}
+	pol, err := def.Bind(base.DataBlocks, base.RepairThreshold, base.TotalBlocks)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("\nthe sizing curve (n holding >= k'=148 visible at five nines):")
 	for _, p := range []float64{0.95, 0.9, 0.86, 0.8, 0.7} {
-		n := 148
-		for n < 256 && redundancy.Durability(n, 148, p) < 0.99999 {
-			n++
-		}
+		n := pol.Target(redundancy.Observation{
+			Current: base.RepairThreshold, DataBlocks: base.DataBlocks, Availability: p,
+		})
 		fmt.Printf("  availability %.2f -> n(t) = %d\n", p, n)
 	}
 

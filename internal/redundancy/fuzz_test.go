@@ -62,3 +62,32 @@ func FuzzParse(f *testing.F) {
 		}
 	})
 }
+
+// FuzzTargetSearch checks Target's certified binary search against the
+// linear scan it replaced, for fuzzed code shapes (n <= 512),
+// availabilities and durability targets. Inputs Bind rejects are
+// skipped; for the rest, observing with Current == Min makes Target
+// return the sizing result itself.
+func FuzzTargetSearch(f *testing.F) {
+	f.Add(128, 148, 256, 0.86, 0.99999)
+	f.Add(128, 129, 256, 0.7225, 1-1e-13)
+	f.Add(128, 148, 256, 0.79, 1-1e-13)
+	f.Add(16, 20, 32, 0.55, 0.9999999999999999)
+	f.Add(8, 9, 12, 1e-300, 1e-300)
+	f.Add(500, 501, 512, 1-1e-15, 1-1e-9)
+	f.Fuzz(func(t *testing.T, k, kprime, n int, p, target float64) {
+		if n > 512 {
+			return
+		}
+		b, err := Adaptive{TargetDurability: target}.Bind(k, kprime, n)
+		if err != nil {
+			return
+		}
+		a := b.(Adaptive)
+		thr := max(kprime, k)
+		want := linearNeed(a, func(m int) float64 { return Durability(m, thr, p) })
+		if got := a.Target(Observation{Current: a.Min, DataBlocks: k, Availability: p}); got != want {
+			t.Fatalf("Bind(%d, %d, %d) p=%v target=%v: Target = %d, linear scan = %d", k, kprime, n, p, target, got, want)
+		}
+	})
+}

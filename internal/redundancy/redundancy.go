@@ -83,8 +83,16 @@ type Policy interface {
 // Durability returns the probability that an archive of n blocks, each
 // independently available with probability p, has at least k blocks
 // available — the binomial decode probability behind every adaptive
-// decision. Computed in log space (math.Lgamma), stable for any n the
-// simulator uses.
+// decision. The tail is summed term by term in log space, from i = k
+// up to n, with ln(i!) read from a log-factorial table shared by every
+// caller (math.Lgamma above the table's range). The table holds
+// exactly the values math.Lgamma returns, so each term, and the sum,
+// are bit-identical to calling math.Lgamma per term.
+//
+// The result is a probability up to rounding: it is monotone in n and
+// in p mathematically, but not as computed. Once the tail saturates
+// near 1, successive n can differ by a few ulps in either direction
+// (see Adaptive.Target, whose search accounts for that).
 func Durability(n, k int, p float64) float64 {
 	if k <= 0 {
 		return 1
@@ -97,17 +105,42 @@ func Durability(n, k int, p float64) float64 {
 	}
 	lp := math.Log(p)
 	lq := math.Log1p(-p)
-	lgn, _ := math.Lgamma(float64(n + 1))
+	lgn := lnFactorial(n)
 	sum := 0.0
 	for i := k; i <= n; i++ {
-		lgi, _ := math.Lgamma(float64(i + 1))
-		lgni, _ := math.Lgamma(float64(n - i + 1))
+		lgi := lnFactorial(i)
+		lgni := lnFactorial(n - i)
 		sum += math.Exp(lgn - lgi - lgni + float64(i)*lp + float64(n-i)*lq)
 	}
 	if sum > 1 {
 		return 1
 	}
 	return sum
+}
+
+// lnFactTableSize bounds the log-factorial table: 32 KiB covering every
+// archive size up to 4095 blocks, far past the paper's n = 256.
+const lnFactTableSize = 4096
+
+// lnFactTable[i] is ln(i!) as math.Lgamma(i+1) returns it. It is built
+// once at package initialisation and only read afterwards, so
+// concurrent simulations share it freely.
+var lnFactTable = func() *[lnFactTableSize]float64 {
+	var t [lnFactTableSize]float64
+	for i := range t {
+		t[i], _ = math.Lgamma(float64(i + 1))
+	}
+	return &t
+}()
+
+// lnFactorial returns ln(i!) for i >= 0, bit-identical to
+// math.Lgamma(i+1).
+func lnFactorial(i int) float64 {
+	if i < lnFactTableSize {
+		return lnFactTable[i]
+	}
+	v, _ := math.Lgamma(float64(i + 1))
+	return v
 }
 
 // EffectiveThreshold maps an archive's target block count to its repair
@@ -288,16 +321,16 @@ func (a Adaptive) Initial(k, n int) int {
 // Target implements Policy: the smallest n(t) in [Min, Max] holding at
 // least k' available blocks with probability TargetDurability at the
 // observed availability, with shrink hysteresis. On an unbound policy
-// (no recorded k') the sizing falls back to the decode bound k.
+// (no recorded k') the sizing falls back to the decode bound k. The
+// smallest n(t) is found by a certified binary search (see need), so an
+// evaluation costs O(log(Max-Min)) Durability calls instead of one per
+// candidate size.
 func (a Adaptive) Target(obs Observation) int {
 	thr := a.kprime
 	if thr < obs.DataBlocks {
 		thr = obs.DataBlocks
 	}
-	need := a.Min
-	for need < a.Max && Durability(need, thr, obs.Availability) < a.TargetDurability {
-		need++
-	}
+	need := a.need(thr, obs.Availability)
 	if need > obs.Current {
 		return need // grow immediately: durability is at stake
 	}
@@ -310,6 +343,72 @@ func (a Adaptive) Target(obs Observation) int {
 		return need
 	}
 	return obs.Current
+}
+
+// certifyMargin is how far below the target the last failing probe of
+// need's binary search must sit for the search's answer to be trusted.
+//
+// The computed Durability is a sum of positive terms exp(x_i), so its
+// absolute error is at most the largest per-term relative error (the
+// sum is at most 1) plus the summation's own rounding (n ulps of 1).
+// A term's relative error is the absolute error of its exponent x_i: a
+// few ulps of the magnitudes cancelled inside it, ln(n!), ln(i!) and
+// ln((n-i)!), and for any term not already below e^-40 also i*ln(p) and
+// (n-i)*ln(1-p), which cannot exceed ln C(n, i) + 40. Within the
+// log-factorial table (n < 4096, ln(n!) < 3e4) that is below 1e-10; at
+// the paper's n = 256 (ln(n!) ~ 1.2e3) it is a few 1e-12, and the
+// observed noise is nearer 1e-13. A margin of 1e-9 therefore exceeds
+// twice the error of any Durability the search compares, which is what
+// the certificate in need relies on.
+const certifyMargin = 1e-9
+
+// need returns the smallest n in [Min, Max) for which the computed
+// Durability(n, thr, p) reaches TargetDurability, or Max when none
+// does: exactly what scanning n upward from Min one block at a time
+// returns.
+//
+// Mathematically Durability is increasing in n, so a lower-bound binary
+// search finds that n in O(log(Max-Min)) probes. As computed it is not
+// monotone once it saturates near 1 (adjacent n can swap order by a few
+// ulps), and at targets within rounding of 1 a bare binary search can
+// step over the first n that reaches the target. The search therefore
+// certifies its answer lo: either lo == Min, or its last failing probe
+// D(lo-1) sits more than certifyMargin below the target. Then the true
+// D(lo-1) is below the target, so are the true D(m) for all m < lo-1 by
+// monotonicity, and so is every computed D(m), whose error is under
+// half the margin: no n below lo reaches the target, and lo is the
+// scan's answer. An uncertified answer, and any Max beyond the table
+// the margin is argued for, falls back to the scan itself.
+func (a Adaptive) need(thr int, p float64) int {
+	if a.Max > lnFactTableSize {
+		return a.scanNeed(thr, p, a.Max)
+	}
+	lo, hi := a.Min, a.Max
+	failed := 0.0 // Durability at lo-1, valid once lo > Min
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if d := Durability(mid, thr, p); d >= a.TargetDurability {
+			hi = mid
+		} else {
+			lo, failed = mid+1, d
+		}
+	}
+	if lo == a.Min || failed+certifyMargin < a.TargetDurability {
+		return lo
+	}
+	return a.scanNeed(thr, p, lo)
+}
+
+// scanNeed is the defining linear scan behind need: the first n in
+// [Min, limit) whose Durability reaches the target, else limit. need
+// passes limit = lo, whose own probe reached the target (or lo = Max),
+// so the scan ends there at the latest.
+func (a Adaptive) scanNeed(thr int, p float64, limit int) int {
+	n := a.Min
+	for n < limit && Durability(n, thr, p) < a.TargetDurability {
+		n++
+	}
+	return n
 }
 
 // EvalEvery implements Policy.
